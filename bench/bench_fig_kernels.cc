@@ -1,7 +1,8 @@
 // Kernel work-profile figure: the per-peer SoA kernels (bounded top-k over
-// block-scored columns, column-wise mask dominance) against the retained
-// scalar oracles, swept over dimensionality d in {2, 4, 8, 10} and the
-// three PISA-style score-series shapes (increasing, decreasing, random).
+// block-scored columns, column-wise mask dominance, the counting kernel
+// behind the k-skyband) against scalar oracles, swept over dimensionality
+// d in {2, 4, 8, 10} and the three PISA-style score-series shapes
+// (increasing, decreasing, random).
 // Not a figure of the paper — it gates the hot-path refactor itself.
 //
 // Gating (tools/bench_check.py): every kernel exports machine-independent
@@ -13,6 +14,11 @@
 //   exact_skyline_tuples_scanned   skyline candidates examined
 //   exact_skyline_dominance_cmps   pair tests by the dominance kernel
 //   exact_oracle_mismatch          0 iff SoA results byte-match the oracles
+//   exact_skyband_tuples_scanned   k-skyband candidates examined
+//   exact_skyband_dominance_cmps   pair tests by the counting kernel
+//   exact_skyband_oracle_mismatch  0 iff ComputeKSkyband, and MergeSkybands
+//                                  over the two halves' bands, byte-match
+//                                  the sort-and-count oracle below
 // Wall-clock for the SoA and scalar paths rides along under the
 // informational wall_ prefix (the before/after evidence, never gated).
 
@@ -25,6 +31,7 @@
 
 #include "bench_common.h"
 #include "common/kernel_counters.h"
+#include "geom/dominance.h"
 #include "store/local_algos.h"
 
 using namespace ripple;
@@ -33,6 +40,7 @@ using namespace ripple::bench;
 namespace {
 
 constexpr size_t kTopK = 16;
+constexpr size_t kBand = 3;
 constexpr int kTimedReps = 5;
 
 enum class Shape { kIncreasing, kDecreasing, kRandom };
@@ -78,6 +86,37 @@ bool BitIdentical(const TupleVec& a, const TupleVec& b) {
   return true;
 }
 
+/// The row-at-a-time k-skyband the column kernels replaced: dedup by id,
+/// stable sort by coordinate sum, count each row's dominators among all
+/// earlier rows with the scalar Dominates.
+TupleVec KSkybandOracle(TupleVec tuples, size_t k) {
+  std::sort(tuples.begin(), tuples.end(), TupleIdLess());
+  tuples.erase(std::unique(tuples.begin(), tuples.end(),
+                           [](const Tuple& a, const Tuple& b) {
+                             return a.id == b.id;
+                           }),
+               tuples.end());
+  auto sum_of = [](const Tuple& t) {
+    double s = 0.0;
+    for (int i = 0; i < t.key.dims(); ++i) s += t.key[i];
+    return s;
+  };
+  std::stable_sort(tuples.begin(), tuples.end(),
+                   [&](const Tuple& a, const Tuple& b) {
+                     return sum_of(a) < sum_of(b);
+                   });
+  TupleVec band;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    size_t dominators = 0;
+    for (size_t j = 0; j < i && dominators < k; ++j) {
+      if (Dominates(tuples[j].key, tuples[i].key)) ++dominators;
+    }
+    if (dominators < k) band.push_back(tuples[i]);
+  }
+  std::sort(band.begin(), band.end(), TupleIdLess());
+  return band;
+}
+
 template <typename Fn>
 double TimeMs(const Fn& fn) {
   const auto start = std::chrono::steady_clock::now();
@@ -95,9 +134,11 @@ int main() {
               "per-peer kernel work profile: SoA kernels vs scalar oracles");
 
   const size_t n = std::min<size_t>(config.tuples, 4096);
-  std::printf("  n=%zu k=%zu, d in {2,4,8,10} x 3 series shapes\n", n, kTopK);
-  std::printf("  %-22s %12s %12s %14s %12s %12s\n", "case", "soa_topk_ms",
-              "sca_topk_ms", "soa_skyline_ms", "sca_sky_ms", "mismatch");
+  std::printf("  n=%zu k=%zu band=%zu, d in {2,4,8,10} x 3 series shapes\n",
+              n, kTopK, kBand);
+  std::printf("  %-22s %12s %12s %14s %12s %12s %12s %12s\n", "case",
+              "soa_topk_ms", "sca_topk_ms", "soa_skyline_ms", "sca_sky_ms",
+              "skyband_ms", "orc_band_ms", "mismatch");
 
   uint64_t total_mismatches = 0;
   for (int dims : {2, 4, 8, 10}) {
@@ -123,6 +164,9 @@ int main() {
       const TupleVec sky = ComputeSkyline(tuples);
       const KernelCounters sky_work = LocalKernelCounters();
       ResetKernelCounters();
+      const TupleVec band = ComputeKSkyband(tuples, kBand);
+      const KernelCounters band_work = LocalKernelCounters();
+      ResetKernelCounters();
 
       // Byte-identity against the retained scalar oracles.
       uint64_t mismatch = 0;
@@ -130,7 +174,18 @@ int main() {
         ++mismatch;
       }
       if (!BitIdentical(sky, ComputeSkylineScalar(tuples))) ++mismatch;
-      total_mismatches += mismatch;
+      const TupleVec lo(tuples.begin(), tuples.begin() + n / 2);
+      const TupleVec hi(tuples.begin() + n / 2, tuples.end());
+      const TupleVec lo_band = ComputeKSkyband(lo, kBand);
+      const TupleVec hi_band = ComputeKSkyband(hi, kBand);
+      const TupleVec band_oracle = KSkybandOracle(tuples, kBand);
+      uint64_t band_mismatch = 0;
+      if (!BitIdentical(band, band_oracle)) ++band_mismatch;
+      if (!BitIdentical(MergeSkybands(lo_band, hi_band, kBand), band_oracle)) {
+        ++band_mismatch;
+      }
+      ResetKernelCounters();
+      total_mismatches += mismatch + band_mismatch;
 
       // Wall clock, informational: the SoA-vs-scalar before/after evidence.
       const double soa_topk_ms =
@@ -140,6 +195,13 @@ int main() {
       const double soa_sky_ms = TimeMs([&] { (void)ComputeSkyline(tuples); });
       const double scalar_sky_ms =
           TimeMs([&] { (void)ComputeSkylineScalar(tuples); });
+      const double band_ms =
+          TimeMs([&] { (void)ComputeKSkyband(tuples, kBand); });
+      const double oracle_band_ms =
+          TimeMs([&] { (void)KSkybandOracle(tuples, kBand); });
+      const double merge_band_ms =
+          TimeMs([&] { (void)MergeSkybands(lo_band, hi_band, kBand); });
+      ResetKernelCounters();
 
       Reporter().AddMetric(case_id, "exact_topk_tuples_scanned",
                            static_cast<double>(topk_work.tuples_scanned));
@@ -151,17 +213,27 @@ int main() {
                            static_cast<double>(sky_work.dominance_cmps));
       Reporter().AddMetric(case_id, "exact_oracle_mismatch",
                            static_cast<double>(mismatch));
+      Reporter().AddMetric(case_id, "exact_skyband_tuples_scanned",
+                           static_cast<double>(band_work.tuples_scanned));
+      Reporter().AddMetric(case_id, "exact_skyband_dominance_cmps",
+                           static_cast<double>(band_work.dominance_cmps));
+      Reporter().AddMetric(case_id, "exact_skyband_oracle_mismatch",
+                           static_cast<double>(band_mismatch));
       Reporter().AddMetric(case_id, "wall_soa_topk_ms", soa_topk_ms);
       Reporter().AddMetric(case_id, "wall_scalar_topk_ms", scalar_topk_ms);
       Reporter().AddMetric(case_id, "wall_soa_skyline_ms", soa_sky_ms);
       Reporter().AddMetric(case_id, "wall_scalar_skyline_ms", scalar_sky_ms);
+      Reporter().AddMetric(case_id, "wall_skyband_ms", band_ms);
+      Reporter().AddMetric(case_id, "wall_oracle_skyband_ms", oracle_band_ms);
+      Reporter().AddMetric(case_id, "wall_merge_skybands_ms", merge_band_ms);
 
-      std::printf("  %-22s %12.3f %12.3f %14.3f %12.3f %12llu\n",
+      std::printf("  %-22s %12.3f %12.3f %14.3f %12.3f %12.3f %12.3f %12llu\n",
                   (std::string("d=") + std::to_string(dims) + "/" +
                    Name(series))
                       .c_str(),
                   soa_topk_ms, scalar_topk_ms, soa_sky_ms, scalar_sky_ms,
-                  static_cast<unsigned long long>(mismatch));
+                  band_ms, oracle_band_ms,
+                  static_cast<unsigned long long>(mismatch + band_mismatch));
     }
   }
 

@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the per-peer kernels every
 // distributed query run is built from: local skyline computation, k-d
 // index top-k / argmin, Z-order encode/decompose, phi evaluation,
-// MIDAS overlay maintenance, SoA-vs-scalar kernel pairs swept over
-// dimensionality and score-series shape, and wire frame encode/decode.
+// MIDAS overlay maintenance, SoA-vs-scalar kernel pairs and the k-skyband
+// kernels swept over dimensionality and score-series shape, and wire frame
+// encode/decode.
 
 #include <benchmark/benchmark.h>
 
@@ -185,6 +186,36 @@ void BM_ComputeSkylineScalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tuples.size());
 }
 
+// The k-skyband kernels at band 3: the one-pass counting band, and the
+// cross-only merge of two halves' bands (the skyband policy's state step).
+constexpr size_t kSweepBand = 3;
+
+void BM_ComputeKSkyband(benchmark::State& state) {
+  const int dims = static_cast<int>(state.range(0));
+  const int series = static_cast<int>(state.range(1));
+  const LinearScorer scorer(SweepWeights(dims));
+  const TupleVec tuples = ShapedTuples(2048, dims, series, scorer, 47);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeKSkyband(tuples, kSweepBand));
+  }
+  state.SetItemsProcessed(state.iterations() * tuples.size());
+}
+
+void BM_MergeSkybands(benchmark::State& state) {
+  const int dims = static_cast<int>(state.range(0));
+  const int series = static_cast<int>(state.range(1));
+  const LinearScorer scorer(SweepWeights(dims));
+  const TupleVec tuples = ShapedTuples(2048, dims, series, scorer, 47);
+  const TupleVec a = ComputeKSkyband(
+      TupleVec(tuples.begin(), tuples.begin() + 1024), kSweepBand);
+  const TupleVec b = ComputeKSkyband(
+      TupleVec(tuples.begin() + 1024, tuples.end()), kSweepBand);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MergeSkybands(a, b, kSweepBand));
+  }
+  state.SetItemsProcessed(state.iterations() * (a.size() + b.size()));
+}
+
 void SweepArgs(benchmark::internal::Benchmark* b) {
   for (int dims : {2, 4, 8, 10}) {
     for (int series : {0, 1, 2}) b->Args({dims, series});
@@ -194,6 +225,8 @@ BENCHMARK(BM_SelectTopKSoA)->Apply(SweepArgs);
 BENCHMARK(BM_SelectTopKScalar)->Apply(SweepArgs);
 BENCHMARK(BM_ComputeSkylineSoA)->Apply(SweepArgs);
 BENCHMARK(BM_ComputeSkylineScalar)->Apply(SweepArgs);
+BENCHMARK(BM_ComputeKSkyband)->Apply(SweepArgs);
+BENCHMARK(BM_MergeSkybands)->Apply(SweepArgs);
 
 // --- Wire frame encode/decode ---------------------------------------------
 // One query frame plus one answer frame carrying state.range(0) tuples —

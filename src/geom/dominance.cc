@@ -36,10 +36,45 @@ bool RectMayDominate(const Rect& r, const Point& p) {
   return Dominates(r.lo(), p);
 }
 
+namespace {
+
+constexpr size_t kBlock = 16;
+
+/// Narrows the "every coordinate <= p" byte mask over rows [base,
+/// base+n) one column at a time; the inner loop is branch-free and
+/// auto-vectorizable. Returns whether any lane survived. Once no lane
+/// survives a column prefix, later columns cannot resurrect one.
+bool NarrowLeMask(const double* const* cols, int dims, size_t base, size_t n,
+                  const double* pv, uint8_t* le) {
+  std::memset(le, 1, n);
+  uint8_t any = 1;
+  for (int c = 0; c < dims && any; ++c) {
+    const double pc = pv[c];
+    const double* col = cols[c] + base;
+    any = 0;
+    for (size_t i = 0; i < n; ++i) {
+      le[i] &= static_cast<uint8_t>(col[i] <= pc);
+      any |= le[i];
+    }
+  }
+  return any != 0;
+}
+
+/// For a row already known to be <= p everywhere: true unless it equals
+/// p coordinate-for-coordinate, i.e. true iff it dominates p.
+bool StrictlyBelowSomewhere(const double* const* cols, int dims, size_t row,
+                            const double* pv) {
+  for (int c = 0; c < dims; ++c) {
+    if (cols[c][row] < pv[c]) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 bool AnyDominatesColumns(const double* const* cols, int dims, size_t m,
                          const Point& p) {
   RIPPLE_DCHECK(p.dims() == dims);
-  constexpr size_t kBlock = 16;
   double pv[kMaxDims];
   for (int c = 0; c < dims; ++c) pv[c] = p[c];
   uint8_t le[kBlock];
@@ -67,32 +102,36 @@ bool AnyDominatesColumns(const double* const* cols, int dims, size_t m,
   for (size_t base = head; base < m; base += kBlock) {
     const size_t n = std::min(kBlock, m - base);
     kc.dominance_cmps += n;
-    // Narrow the "every coordinate <= p" mask one column at a time; the
-    // inner loop is branch-free and auto-vectorizable. Once no lane
-    // survives the prefix, later columns cannot resurrect one.
-    std::memset(le, 1, n);
-    uint8_t any = 1;
-    for (int c = 0; c < dims && any; ++c) {
-      const double pc = pv[c];
-      const double* col = cols[c] + base;
-      any = 0;
-      for (size_t i = 0; i < n; ++i) {
-        le[i] &= static_cast<uint8_t>(col[i] <= pc);
-        any |= le[i];
-      }
-    }
-    if (!any) continue;
+    if (!NarrowLeMask(cols, dims, base, n, pv, le)) continue;
     // A survivor is <= p in every dimension, so it dominates p unless it
     // IS p coordinate-for-coordinate. Survivors are rare; resolving the
     // strictness scalar keeps the hot loop to one compare per lane-column.
     for (size_t i = 0; i < n; ++i) {
-      if (!le[i]) continue;
-      for (int c = 0; c < dims; ++c) {
-        if (cols[c][base + i] < pv[c]) return true;
+      if (le[i] && StrictlyBelowSomewhere(cols, dims, base + i, pv)) {
+        return true;
       }
     }
   }
   return false;
+}
+
+size_t CountDominatorsColumns(const double* const* cols, int dims, size_t m,
+                              const Point& p, size_t limit) {
+  RIPPLE_DCHECK(p.dims() == dims);
+  double pv[kMaxDims];
+  for (int c = 0; c < dims; ++c) pv[c] = p[c];
+  uint8_t le[kBlock];
+  KernelCounters& kc = LocalKernelCounters();
+  size_t count = 0;
+  for (size_t base = 0; base < m && count < limit; base += kBlock) {
+    const size_t n = std::min(kBlock, m - base);
+    kc.dominance_cmps += n;
+    if (!NarrowLeMask(cols, dims, base, n, pv, le)) continue;
+    for (size_t i = 0; i < n; ++i) {
+      if (le[i] && StrictlyBelowSomewhere(cols, dims, base + i, pv)) ++count;
+    }
+  }
+  return std::min(count, limit);
 }
 
 }  // namespace ripple

@@ -42,6 +42,20 @@ bool RectMayDominate(const Rect& r, const Point& p);
 bool AnyDominatesColumns(const double* const* cols, int dims, size_t m,
                          const Point& p);
 
+/// Column-wise counting kernel: how many of the `m` column-resident points
+/// in `cols` dominate `p`, counted up to `limit` (the result is
+/// min(count, limit); a zero limit tests nothing). Every row runs the
+/// block path of AnyDominatesColumns — 16-row blocks, a byte mask
+/// narrowed one column at a time, strictness resolved scalar for the
+/// all-<= survivors — and the scan stops after the block in which the
+/// count reaches `limit`. dominance_cmps advances by the rows of every
+/// block tested, so it is exact-gateable like AnyDominatesColumns'. The
+/// k-skyband kernels call it with a prefix of a candidate set kept in
+/// (coordinate sum, id) order, which is how they apply the precedence
+/// rule (docs/STORE.md): only rows before `p` in that order may count.
+size_t CountDominatorsColumns(const double* const* cols, int dims, size_t m,
+                              const Point& p, size_t limit);
+
 }  // namespace ripple
 
 #endif  // RIPPLE_GEOM_DOMINANCE_H_

@@ -4,60 +4,20 @@
 
 namespace ripple {
 
-TupleVec ComputeKSkyband(TupleVec tuples, size_t k) {
-  if (tuples.empty() || k == 0) return {};
-  // Dedup by id, then sort by coordinate sum: dominators of a tuple always
-  // precede it in sum order, so one forward pass with counting suffices.
-  std::sort(tuples.begin(), tuples.end(), TupleIdLess());
-  tuples.erase(std::unique(tuples.begin(), tuples.end(),
-                           [](const Tuple& a, const Tuple& b) {
-                             return a.id == b.id;
-                           }),
-               tuples.end());
-  auto sum_of = [](const Tuple& t) {
-    double s = 0.0;
-    for (int i = 0; i < t.key.dims(); ++i) s += t.key[i];
-    return s;
-  };
-  std::stable_sort(tuples.begin(), tuples.end(),
-                   [&](const Tuple& a, const Tuple& b) {
-                     return sum_of(a) < sum_of(b);
-                   });
-  TupleVec band;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    size_t dominators = 0;
-    for (size_t j = 0; j < i && dominators < k; ++j) {
-      if (Dominates(tuples[j].key, tuples[i].key)) ++dominators;
-    }
-    if (dominators < k) band.push_back(tuples[i]);
-  }
-  std::sort(band.begin(), band.end(), TupleIdLess());
-  return band;
-}
-
 SkybandPolicy::LocalState SkybandPolicy::ComputeLocalState(
     const LocalStore& store, const Query& q, const GlobalState& g) const {
-  const TupleVec local_band = ComputeKSkyband(store.Snapshot(), q.band);
-  // Keep local band members not already disqualified by the global state.
-  TupleVec merged = local_band;
-  merged.insert(merged.end(), g.tuples.begin(), g.tuples.end());
-  merged = ComputeKSkyband(std::move(merged), q.band);
+  // Keep local band members not already disqualified by the global state:
+  // those still in the band of (local band ∪ g).
   LocalState l;
-  for (const Tuple& t : local_band) {
-    const auto it = std::lower_bound(
-        merged.begin(), merged.end(), t.id,
-        [](const Tuple& m, uint64_t v) { return m.id < v; });
-    if (it != merged.end() && it->id == t.id) l.tuples.push_back(t);
-  }
+  l.tuples = SkybandSurvivors(ComputeKSkyband(store.Snapshot(), q.band),
+                              g.tuples, q.band);
   return l;
 }
 
 SkybandPolicy::GlobalState SkybandPolicy::ComputeGlobalState(
     const Query& q, const GlobalState& g, const LocalState& l) const {
-  TupleVec merged = g.tuples;
-  merged.insert(merged.end(), l.tuples.begin(), l.tuples.end());
   GlobalState out;
-  out.tuples = ComputeKSkyband(std::move(merged), q.band);
+  out.tuples = MergeSkybands(l.tuples, g.tuples, q.band);
   out.dominators =
       SelectDominators(out.tuples, SkybandState::kMaxDominators);
   return out;
@@ -68,9 +28,9 @@ void SkybandPolicy::MergeLocalStates(
     const std::vector<LocalState>& received) const {
   TupleVec merged = std::move(mine->tuples);
   for (const LocalState& s : received) {
-    merged.insert(merged.end(), s.tuples.begin(), s.tuples.end());
+    merged = MergeSkybands(std::move(merged), s.tuples, q.band);
   }
-  mine->tuples = ComputeKSkyband(std::move(merged), q.band);
+  mine->tuples = std::move(merged);
 }
 
 SkybandPolicy::Answer SkybandPolicy::ComputeLocalAnswer(

@@ -14,13 +14,8 @@
 
 namespace ripple {
 
-/// Computes the k-skyband: the tuples dominated by fewer than `k` others
-/// (k = 1 is the skyline). Deterministic, sorted by id. This is the
-/// structure SPEERTO precomputes per peer (paper, Section 2.1); we also
-/// expose it as a distributed query.
-TupleVec ComputeKSkyband(TupleVec tuples, size_t k);
-
-/// A k-skyband query: all tuples dominated by fewer than `band` others.
+/// A k-skyband query (ComputeKSkyband, store/local_algos.h, exposed as a
+/// distributed query): all tuples dominated by fewer than `band` others.
 struct SkybandQuery {
   size_t band = 2;
   Norm norm = Norm::kL2;
@@ -29,7 +24,9 @@ struct SkybandQuery {
 /// Partial-band state: tuples that, as far as the query has seen, are
 /// dominated by fewer than `band` others. Counting within a partial set
 /// can only undercount dominators, so the state is a superset of the true
-/// band restricted to seen tuples — pruning stays sound.
+/// band restricted to seen tuples — pruning stays sound. Every state is
+/// itself a band (sorted by id), which is what lets the state functions
+/// merge with MergeSkybands instead of recomputing the band of the union.
 struct SkybandState {
   TupleVec tuples;
   TupleVec dominators;  // bounded min-sum subset for region tests

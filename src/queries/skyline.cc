@@ -4,20 +4,6 @@
 
 namespace ripple {
 
-namespace {
-
-/// Sorted-by-id membership test: inputs come out of ComputeSkyline /
-/// MergeSkylines, which sort by id.
-bool ContainsId(const TupleVec& sorted, uint64_t id) {
-  auto it = std::lower_bound(sorted.begin(), sorted.end(), id,
-                             [](const Tuple& t, uint64_t v) {
-                               return t.id < v;
-                             });
-  return it != sorted.end() && it->id == id;
-}
-
-}  // namespace
-
 SkylinePolicy::LocalState SkylinePolicy::ComputeLocalState(
     const LocalStore& store, const Query& q, const GlobalState& g) const {
   // Line 1: the local skyline (over the constraint box, if any).
@@ -31,13 +17,10 @@ SkylinePolicy::LocalState SkylinePolicy::ComputeLocalState(
   } else {
     local_sky = store.LocalSkyline();
   }
-  // Line 2: merge with the received global state (already a skyline).
-  const TupleVec merged = MergeSkylines(local_sky, g.tuples);
-  // Line 3: keep only local-skyline tuples that survived the merge.
+  // Lines 2-3: keep only the local-skyline tuples that survive a merge
+  // with the received global state — without building the merged set.
   LocalState l;
-  for (const Tuple& t : local_sky) {
-    if (ContainsId(merged, t.id)) l.tuples.push_back(t);
-  }
+  l.tuples = SkylineSurvivors(std::move(local_sky), g.tuples);
   return l;
 }
 

@@ -41,6 +41,40 @@ TupleVec MergeSkylines(TupleVec a, const TupleVec& b);
 /// The pre-SoA scalar implementation, kept as the parity oracle.
 TupleVec MergeSkylinesScalar(TupleVec a, const TupleVec& b);
 
+/// The tuples of `sky` that MergeSkylines(sky, others) keeps, in `sky`'s
+/// order — the skyline local state (Algorithm 10, lines 2-3) without
+/// building the merged set: a `sky` tuple stays when no `others` tuple
+/// dominates it (MergeSkylines' a-pass), or when `others` carries its id
+/// and no `sky` tuple dominates that copy (MergeSkylines' b-pass keeping
+/// the id). Empty `others` returns `sky` unchanged.
+TupleVec SkylineSurvivors(TupleVec sky, const TupleVec& others);
+
+/// Computes the k-skyband: the tuples dominated by fewer than `k` others
+/// (k = 1 is the skyline; k = 0 yields nothing). Deterministic, sorted by
+/// id; duplicate ids are collapsed. Dominators count under the precedence
+/// rule of docs/STORE.md: `s` counts against `t` iff s dominates t and
+/// (sum(s), id(s)) < (sum(t), id(t)). This is the structure SPEERTO
+/// precomputes per peer (paper, Section 2.1). One forward pass in (sum,
+/// id) order counts each candidate's dominators among the running band,
+/// held column-wise in the per-query arena, with CountDominatorsColumns.
+TupleVec ComputeKSkyband(TupleVec tuples, size_t k);
+
+/// The k-band analogue of MergeSkylines: ComputeKSkyband(a ∪ b, k) for
+/// inputs that are EACH already k-bands (every tuple has fewer than k
+/// dominators within its own set, as every ComputeKSkyband or
+/// MergeSkybands output and every subset of one does). Tuples present
+/// in both inputs (by id) are kept once; the result is sorted by id. By
+/// the band-merge lemma (docs/STORE.md) a tuple's fate hangs on its cross
+/// count, the dominators it has in the other input: 0 keeps it, k or
+/// more drop it, and only in between is its own-set count recounted. An
+/// empty side returns the other side (sorted by id, deduplicated).
+TupleVec MergeSkybands(TupleVec a, const TupleVec& b, size_t k);
+
+/// The tuples of the k-band `band` that stay in ComputeKSkyband(band ∪
+/// others, k), sorted by id — the skyband local state. `others` need not
+/// be a band: each `band` tuple's dominators in it are counted directly.
+TupleVec SkybandSurvivors(TupleVec band, const TupleVec& others, size_t k);
+
 /// Selects up to `max_count` tuples with the smallest coordinate sums —
 /// the only candidates able to dominate whole regions. Used to bound the
 /// per-link dominance tests of the distributed skyline methods; pruning

@@ -29,59 +29,12 @@
 #include "store/kd_index.h"
 #include "store/local_algos.h"
 #include "store/local_store.h"
+#include "kernel_fixtures.h"
 
 namespace ripple {
 namespace {
 
-// --- workload shapes --------------------------------------------------------
-
-enum class Series { kIncreasing, kDecreasing, kRandom };
-
-const char* Name(Series s) {
-  switch (s) {
-    case Series::kIncreasing: return "increasing";
-    case Series::kDecreasing: return "decreasing";
-    case Series::kRandom: return "random";
-  }
-  return "?";
-}
-
-/// Uniform tuples whose rows arrive in the given score order under
-/// `scorer` — the adversarial orders for a bounded top-k heap (increasing
-/// admits every row; decreasing admits only the first k).
-TupleVec ShapedTuples(size_t n, int dims, Series series,
-                      const Scorer& scorer, uint64_t seed) {
-  Rng rng(seed);
-  TupleVec out = data::MakeUniform(n, dims, &rng);
-  if (series == Series::kRandom) return out;
-  std::stable_sort(out.begin(), out.end(),
-                   [&](const Tuple& a, const Tuple& b) {
-                     return scorer.Score(a.key) < scorer.Score(b.key);
-                   });
-  if (series == Series::kDecreasing) std::reverse(out.begin(), out.end());
-  return out;
-}
-
-LinearScorer PreferenceScorer(int dims, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> w(dims);
-  for (double& v : w) v = -rng.UniformDouble();
-  return LinearScorer(w);
-}
-
-bool BitIdentical(const TupleVec& a, const TupleVec& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id) return false;
-    if (a[i].key.dims() != b[i].key.dims()) return false;
-    for (int d = 0; d < a[i].key.dims(); ++d) {
-      const double x = a[i].key[d];
-      const double y = b[i].key[d];
-      if (std::memcmp(&x, &y, sizeof(double)) != 0) return false;
-    }
-  }
-  return true;
-}
+using namespace fixtures;
 
 // --- SoA kernels vs scalar oracles, dims 2-10 x 3 series --------------------
 
@@ -224,6 +177,157 @@ TEST(DominanceKernelTest, ColumnKernelAgreesWithScalarDominates) {
           << "dims=" << dims;
     }
   }
+}
+
+TEST(DominanceKernelTest, CountingKernelAgreesWithScalarDominates) {
+  for (int dims : {2, 4, 7, 10}) {
+    Rng rng(1100 + dims);
+    // Not a skyline: probes have many dominators, so limits bind.
+    const TupleVec rows = data::MakeUniform(150, dims, &rng);
+    store::FlatStore flat;
+    flat.AppendAll(rows);
+    const TupleVec probes = data::MakeUniform(200, dims, &rng);
+    for (const Tuple& p : probes) {
+      size_t want = 0;
+      for (const Tuple& s : rows) want += Dominates(s.key, p.key) ? 1 : 0;
+      for (size_t limit : {size_t{0}, size_t{1}, size_t{2}, size_t{5},
+                           size_t{1000}}) {
+        ResetKernelCounters();
+        const size_t got =
+            CountDominatorsColumns(flat.cols(), dims, flat.size(), p.key,
+                                   limit);
+        EXPECT_EQ(got, std::min(want, limit))
+            << "dims=" << dims << " limit=" << limit;
+        // Block-granular accounting: a multiple of the block size up to
+        // the last (partial) block, never more than every row.
+        const uint64_t cmps = LocalKernelCounters().dominance_cmps;
+        EXPECT_LE(cmps, flat.size());
+        EXPECT_TRUE(cmps % 16 == 0 || cmps == flat.size());
+        if (limit > want) {
+          EXPECT_EQ(cmps, flat.size());
+        }
+      }
+    }
+  }
+  ResetKernelCounters();
+}
+
+// --- MergeSkylines id merge and the skyline local state ----------------------
+
+/// Shuffles a copy with a fixed seed: inputs out of id order.
+TupleVec Shuffled(TupleVec ts, uint64_t seed) {
+  Rng(seed).Shuffle(&ts);
+  return ts;
+}
+
+TEST(FlatKernelsProperty, MergeSkylinesMatchesOracleOnSharedAndUnsortedIds) {
+  for (int dims = 2; dims <= kMaxDims; ++dims) {
+    const LinearScorer scorer = PreferenceScorer(dims, 1200 + dims);
+    for (Series series :
+         {Series::kIncreasing, Series::kDecreasing, Series::kRandom}) {
+      const TupleVec ts = ShapedTuples(240, dims, series, scorer, 1300 + dims);
+      // Overlapping halves: rows 80-159 sit in both inputs.
+      const TupleVec a = ComputeSkyline(TupleVec(ts.begin(), ts.begin() + 160));
+      const TupleVec b = ComputeSkyline(TupleVec(ts.begin() + 80, ts.end()));
+      for (const TupleVec& b_in : {b, Shuffled(b, 7), TupleVec{}}) {
+        EXPECT_TRUE(BitIdentical(MergeSkylines(Shuffled(a, 9), b_in),
+                                 MergeSkylinesScalar(a, b_in)))
+            << "dims=" << dims << " series=" << Name(series);
+      }
+    }
+  }
+}
+
+/// The pre-refactor skyline local state (Algorithm 10): merge the local
+/// skyline with the global state, keep the local tuples whose id survived.
+TupleVec SkylineLocalUnionThenFilter(const TupleVec& local_sky,
+                                     const TupleVec& g) {
+  const TupleVec merged = MergeSkylinesScalar(local_sky, g);
+  TupleVec out;
+  for (const Tuple& t : local_sky) {
+    for (const Tuple& m : merged) {
+      if (m.id == t.id) {
+        out.push_back(t);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SkylinePolicyKernelTest, StatesEqualUnionThenFilter) {
+  const SkylinePolicy policy;
+  for (int dims : {2, 3, 5, 8, 10}) {
+    Rng rng(1400 + dims);
+    for (int trial = 0; trial < 6; ++trial) {
+      const TupleVec all = data::MakeUniform(300, dims, &rng);
+      LocalStore store;
+      store.AddAll(TupleVec(all.begin(), all.begin() + 60));
+      // The global state covers other rows, and from trial 3 on some of
+      // the store's own rows too (shared ids).
+      const size_t g_from = trial < 3 ? 60 : 40;
+      SkylineState g;
+      g.tuples = ComputeSkyline(TupleVec(all.begin() + g_from,
+                                         all.begin() + 120 + 30 * trial));
+      SkylineQuery q;
+      if (trial % 2 == 1) {
+        Point lo(dims), hi(dims);
+        lo.Fill(0.1);
+        hi.Fill(0.9);
+        q.constraint = Rect(lo, hi);
+      }
+      TupleVec local_sky;
+      store.ForEach([&](const Tuple& t) {
+        if (q.Admits(t.key)) local_sky.push_back(t);
+      });
+      local_sky = ComputeSkylineScalar(std::move(local_sky));
+      const SkylineState l = policy.ComputeLocalState(store, q, g);
+      EXPECT_TRUE(BitIdentical(
+          l.tuples, SkylineLocalUnionThenFilter(local_sky, g.tuples)))
+          << "dims=" << dims << " trial=" << trial;
+      EXPECT_TRUE(l.dominators.empty());
+      const SkylineState empty_g = policy.ComputeLocalState(store, q, {});
+      EXPECT_TRUE(BitIdentical(empty_g.tuples, local_sky));
+
+      const SkylineState next = policy.ComputeGlobalState(q, g, l);
+      const TupleVec want_next = MergeSkylinesScalar(l.tuples, g.tuples);
+      EXPECT_TRUE(BitIdentical(next.tuples, want_next));
+      EXPECT_TRUE(BitIdentical(
+          next.dominators,
+          SelectDominators(want_next, SkylineState::kMaxDominators)));
+
+      SkylineState mine = l;
+      std::vector<SkylineState> received = {g, SkylineState{}, next};
+      policy.MergeLocalStates(q, &mine, received);
+      TupleVec want_merged = l.tuples;
+      for (const SkylineState& s : received) {
+        want_merged = MergeSkylinesScalar(std::move(want_merged), s.tuples);
+      }
+      EXPECT_TRUE(BitIdentical(mine.tuples, want_merged));
+    }
+  }
+}
+
+TEST(SkylinePolicyKernelTest, SharedIdDominatedOnlyWithinGlobalStateSurvives) {
+  // t and s have equal coordinate sums (1e-20 vanishes beside 0.5) and s
+  // dominates t. ComputeSkyline keeps both: t comes first in (sum, id)
+  // order and cannot be dominated by a later row. A global state holding
+  // both drops the local copy of t in the a-pass, but MergeSkylines'
+  // b-pass keeps g's copy of t (no local tuple dominates it), so t's id
+  // survives the merge and t stays in the local state.
+  const Tuple t{1, Point{0.5, 1e-20}};
+  const Tuple s{2, Point{0.5, 0.0}};
+  ASSERT_TRUE(Dominates(s.key, t.key));
+  SkylineState g;
+  g.tuples = ComputeSkyline({t, s});
+  ASSERT_EQ(g.tuples.size(), 2u);
+  LocalStore store;
+  store.Add(t);
+  const SkylineState l = SkylinePolicy().ComputeLocalState(store, {}, g);
+  EXPECT_TRUE(
+      BitIdentical(l.tuples, SkylineLocalUnionThenFilter({t}, g.tuples)));
+  ASSERT_EQ(l.tuples.size(), 1u);
+  EXPECT_EQ(l.tuples[0].id, 1u);
 }
 
 // --- FlatStore --------------------------------------------------------------

@@ -11,6 +11,7 @@
 #   tools/check.sh net        # live-overlay suite (sockets), ASan then UBSan
 #   tools/check.sh monitor    # admin/monitoring plane, ASan then UBSan
 #   tools/check.sh cache      # cache/controller/batching, ASan then UBSan
+#   tools/check.sh kernels    # column-kernel property suites, ASan then UBSan
 #   tools/check.sh obs        # observability suite (obs+exec labels), TSan
 #   tools/check.sh micro      # google-benchmark micro suite, smoke run
 #   tools/check.sh --bench    # bench smoke suite + BENCH_*.json gate
@@ -127,6 +128,27 @@ if [[ "${1:-}" == "cache" ]]; then
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L cache
   done
   echo "check.sh: cache suite clean under address+undefined"
+  exit 0
+fi
+
+# kernels: the column-kernel property suites (ctest label `kernels`:
+# flat_kernels_test, skyband_test). Same two-sanitizer harness: the
+# skyline and skyband kernels index their per-query arena column buffers
+# by hand (prefix counts, (sum, id) ranks), so ASan guards the buffer
+# bounds and UBSan the index arithmetic.
+if [[ "${1:-}" == "kernels" ]]; then
+  for kind in address undefined; do
+    BUILD_DIR="build-san-$kind"
+    cmake -B "$BUILD_DIR" -S . \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DRIPPLE_SANITIZE="$kind" \
+      -DRIPPLE_BUILD_BENCHMARKS=OFF \
+      -DRIPPLE_BUILD_EXAMPLES=OFF
+    cmake --build "$BUILD_DIR" -j "$(nproc)" --target flat_kernels_test \
+      skyband_test
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -L kernels
+  done
+  echo "check.sh: kernels suite clean under address+undefined"
   exit 0
 fi
 
