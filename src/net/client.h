@@ -1,7 +1,6 @@
 #ifndef RIPPLE_NET_CLIENT_H_
 #define RIPPLE_NET_CLIENT_H_
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "net/peers.h"
 #include "net/protocol.h"
 #include "net/transport.h"
+#include "ripple/retransmit.h"
 #include "ripple/wire_codec.h"
 
 namespace ripple::net {
@@ -125,7 +125,7 @@ class NetClient {
         return out;  // incomplete
       }
       strikes += 1;
-      patience_ms = std::min(patience_ms * retry_.backoff, retry_.timeout_cap);
+      patience_ms = BackedOffTimeout(patience_ms, retry_);
       transport_->Send(env, std::vector<uint8_t>(frame));
       out.attempts += 1;
       deadline = Clock::now() +

@@ -6,7 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -21,31 +21,31 @@
 #include "net/wall_clock.h"
 #include "obs/journal.h"
 #include "obs/profile.h"
+#include "ripple/peer_session.h"
+#include "ripple/retransmit.h"
 #include "ripple/wire_codec.h"
 
 namespace ripple::net {
 
 /// One process of the live overlay: serves the rank-query protocol for
 /// the peers assigned to it, over a Transport (UDP in production, any
-/// Transport in tests). The daemon is the wall-clock sibling of
-/// AsyncEngine's Runtime — same per-session procedure (Algorithms 1-3:
-/// fast fan-out / prioritized slow walk, state merge, local answer), same
-/// wire formats through the same WireCodec, but driven by real datagrams
-/// and WallTimers instead of the discrete-event queue, and serving all
-/// four policies at once (live query frames carry a PolicyTag byte;
-/// docs/NET.md).
+/// Transport in tests). The daemon drives the same per-peer procedure as
+/// the simulator (ripple::PeerSession) through the same WireCodec; what it
+/// adds is the live side: real datagrams, WallTimers, all four policies
+/// served at once (live query frames carry a PolicyTag byte that selects
+/// the policy's shard; docs/NET.md), and answer delivery by convergecast.
 ///
 /// Reliability is requester-driven, exactly like the simulator's fault
-/// protocol: a requester retransmits its query with capped backoff until
-/// a response arrives or the retry budget is spent; a callee acks queries
-/// whose session is still running and replays the cached reply datagram
-/// for finished ones (dedup by message id). Answers convergecast up the
-/// query tree inside reply datagrams — each session merges its children's
-/// partial answers with its own local answer — so the peer serving the
-/// client folds the complete answer and ships it back in one datagram;
-/// the client's own retransmissions cover its loss. Every policy's
-/// FinalizeAnswer canonicalizes order, which is what makes the tree-merge
-/// byte-identical to the simulator's flat merge.
+/// protocol: child requests retransmit with capped backoff through the
+/// shared net::Retransmitter until a response arrives or the retry budget
+/// is spent; a callee acks queries whose session is still running and
+/// replays the cached reply datagram for finished ones (dedup by message
+/// id). Answers convergecast up the query tree inside reply datagrams —
+/// each session merges its children's partial answers with its own local
+/// answer — so the peer serving the client folds the complete answer and
+/// ships it back in one datagram; the client's own retransmissions cover
+/// its loss. Every policy's FinalizeAnswer canonicalizes order, which is
+/// what makes the tree-merge byte-identical to the simulator's flat merge.
 ///
 /// Single-threaded: one thread owns the daemon and pumps ServeLoop (or
 /// ServeOnce / Dispatch in tests).
@@ -62,11 +62,7 @@ class PeerDaemon {
         retry_(retry),
         dedup_(retry.dedup_window),
         local_peers_(local_peers.begin(), local_peers.end()),
-        start_(std::chrono::steady_clock::now()),
-        topk_(this),
-        skyline_(this),
-        skyband_(this),
-        range_(this) {}
+        start_(std::chrono::steady_clock::now()) {}
 
   void SetJournal(obs::JournalSet* journal) { journal_ = journal; }
   void SetProfiler(obs::Profiler* profiler) { profiler_ = profiler; }
@@ -92,9 +88,10 @@ class PeerDaemon {
   QueueDepths Depths() const {
     QueueDepths q;
     q.open_sessions = open_sessions_;
-    q.sessions_total = topk_.sessions.size() + skyline_.sessions.size() +
-                       skyband_.sessions.size() + range_.sessions.size();
-    q.pending_requests = inflight_requests_;
+    q.sessions_total = std::apply(
+        [](const auto&... shard) { return (shard.sessions.size() + ...); },
+        shards_);
+    q.pending_requests = pending_.size();
     q.timers_pending = timers_.pending();
     q.dedup_tracked = dedup_.size();
     return q;
@@ -150,15 +147,9 @@ class PeerDaemon {
   /// reordering, duplication, truncation) without a socket.
   void Dispatch(Datagram d) {
     switch (d.env.kind) {
-      case MessageKind::kQuery:
-        HandleQuery(d);
-        break;
-      case MessageKind::kResponse:
-        HandleResponse(d);
-        break;
-      case MessageKind::kAck:
-        HandleAck(d);
-        break;
+      case MessageKind::kQuery: HandleQuery(d); break;
+      case MessageKind::kResponse: HandleResponse(d); break;
+      case MessageKind::kAck: HandleAck(d); break;
       case MessageKind::kAnswer:
         // Bare answers address clients; a daemon receiving one saw a
         // misrouted or stale datagram.
@@ -176,64 +167,55 @@ class PeerDaemon {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// One session of the procedure plus what the daemon adds around it:
+  /// the requester to reply to, the convergecast answer accumulator and,
+  /// once finished, the encoded reply datagram kept as the reply cache.
   template <typename Policy>
   struct NetSession {
-    using Area = typename Overlay::Area;
-    PeerId peer = kInvalidPeer;       // the local peer running this session
+    PeerSession<Overlay, Policy> proc;
     PeerId requester = kInvalidPeer;  // parent peer, or a client id
     uint64_t origin_req = 0;          // the request id this session answers
-    typename Policy::Query query{};
-    typename Policy::GlobalState incoming{};
-    typename Policy::GlobalState global{};
-    typename Policy::LocalState local{};
-    int r = 0;
-    bool fast = false;
-    bool finished = false;
-    // Fast sessions collect children's states unmerged (Alg. 3's
-    // convergecast); slow ones merge into `local`.
-    std::vector<typename Policy::LocalState> bundle;
-    struct Candidate {
-      PeerId target;
-      Area area;
-      double priority;
-    };
-    std::vector<Candidate> pending;
-    size_t next_candidate = 0;
-    int outstanding_children = 0;
     // Own local answer merged with every child's partial answer.
     typename Policy::Answer answer_acc{};
-    // The encoded reply datagram, kept after finish as the reply cache.
     std::vector<uint8_t> reply_frame;
   };
 
-  /// A child query forward awaiting its response. Same byte-snapshot
-  /// discipline as sim's PendingRequest: retransmissions reship `frame`
-  /// verbatim under the same message id.
-  struct Pending {
+  template <typename P>
+  struct Shard {
+    using Policy = P;
+    static constexpr PolicyTag kTag = PolicyTagOf<P>::value;
+    P policy;
+    std::vector<NetSession<P>> sessions;
+  };
+  using Shards = std::tuple<Shard<TopKPolicy>, Shard<SkylinePolicy>,
+                            Shard<SkybandPolicy>, Shard<RangePolicy>>;
+
+  /// Calls `fn` with the shard serving `tag` (the tag -> shard dispatch).
+  template <size_t I = 0, typename Fn>
+  void WithShard(PolicyTag tag, Fn&& fn) {
+    if constexpr (I < std::tuple_size_v<Shards>) {
+      auto& shard = std::get<I>(shards_);
+      if (shard.kTag == tag) {
+        fn(shard);
+      } else {
+        WithShard<I + 1>(tag, std::forward<Fn>(fn));
+      }
+    }
+  }
+
+  template <typename Policy>
+  WireCodec<Overlay, Policy> CodecOf(const Shard<Policy>& shard) const {
+    return WireCodec<Overlay, Policy>(overlay_, &shard.policy);
+  }
+
+  /// A child query forward awaiting its response (the retransmitter's
+  /// per-entry bookkeeping): which shard's session waits, for which link.
+  struct ChildRequest {
     PolicyTag tag = PolicyTag::kTopK;
     int session = -1;  // requester session slot in the tag's shard
     PeerId from = kInvalidPeer;
     PeerId target = kInvalidPeer;
-    std::vector<uint8_t> frame;
-    int strikes = 0;
-    double timeout_ms = 0;
-    bool resolved = false;
-    uint64_t timer = 0;
   };
-
-  template <typename Policy>
-  struct Shard {
-    explicit Shard(PeerDaemon* d)
-        : codec(d->overlay_, &policy) {}
-    Policy policy;
-    WireCodec<Overlay, Policy> codec;
-    std::vector<NetSession<Policy>> sessions;
-  };
-
-  Shard<TopKPolicy>& ShardOf(TopKPolicy*) { return topk_; }
-  Shard<SkylinePolicy>& ShardOf(SkylinePolicy*) { return skyline_; }
-  Shard<SkybandPolicy>& ShardOf(SkybandPolicy*) { return skyband_; }
-  Shard<RangePolicy>& ShardOf(RangePolicy*) { return range_; }
 
   double NowMs() const {
     return std::chrono::duration<double, std::milli>(Clock::now() - start_)
@@ -242,18 +224,9 @@ class PeerDaemon {
 
   void JournalFrame(obs::JournalEventKind kind, PeerId peer,
                     const Envelope& env, uint64_t bytes) {
-    if (journal_ == nullptr) return;
-    obs::JournalEvent e;
-    e.kind = kind;
-    e.peer = peer;
-    e.sim_time = NowMs();
-    e.trace_id = env.trace.trace_id;
-    e.msg_id = env.id;
-    e.msg_kind = static_cast<uint8_t>(env.kind);
-    e.parent_span = env.trace.parent_span;
-    e.bytes = bytes;
-    e.attempt = env.attempt;
-    journal_->Record(e);
+    if (journal_ != nullptr) {
+      journal_->Record(obs::FrameEvent(kind, peer, NowMs(), env, bytes));
+    }
   }
 
   // --- admin plane --------------------------------------------------------
@@ -309,7 +282,7 @@ class PeerDaemon {
         h.healthy = true;  // it answered; the monitor marks silence
         h.uptime_ms = static_cast<uint64_t>(NowMs());
         h.open_sessions = open_sessions_;
-        h.pending_requests = inflight_requests_;
+        h.pending_requests = pending_.size();
         h.queries_served = stats_.queries_served;
         EncodeHealthReport(h, &buf);
         break;
@@ -332,14 +305,9 @@ class PeerDaemon {
       // Retransmission or network duplicate: replay the cached reply of a
       // finished session, or ack that the session is still running.
       stats_.duplicates_suppressed += 1;
-      const PolicyTag tag = static_cast<PolicyTag>(*slot & 0xff);
       const int sid = static_cast<int>(*slot >> 8);
-      switch (tag) {
-        case PolicyTag::kTopK: ReplyOrAck(topk_, sid, d.env); break;
-        case PolicyTag::kSkyline: ReplyOrAck(skyline_, sid, d.env); break;
-        case PolicyTag::kSkyband: ReplyOrAck(skyband_, sid, d.env); break;
-        case PolicyTag::kRange: ReplyOrAck(range_, sid, d.env); break;
-      }
+      WithShard(static_cast<PolicyTag>(*slot & 0xff),
+                [&](auto& shard) { ReplyOrAck(shard, sid, d.env); });
       return;
     }
     wire::Reader r(d.bytes);
@@ -353,32 +321,24 @@ class PeerDaemon {
       stats_.frames_rejected += 1;
       return;
     }
-    const uint64_t wire_bytes = d.bytes.size();
-    switch (static_cast<PolicyTag>(raw_tag)) {
-      case PolicyTag::kTopK: OpenSession(topk_, env, &r, wire_bytes); break;
-      case PolicyTag::kSkyline:
-        OpenSession(skyline_, env, &r, wire_bytes);
-        break;
-      case PolicyTag::kSkyband:
-        OpenSession(skyband_, env, &r, wire_bytes);
-        break;
-      case PolicyTag::kRange: OpenSession(range_, env, &r, wire_bytes); break;
-    }
+    WithShard(static_cast<PolicyTag>(raw_tag), [&](auto& shard) {
+      OpenSession(shard, env, &r, d.bytes.size());
+    });
   }
 
   template <typename Policy>
   void ReplyOrAck(Shard<Policy>& shard, int sid, const Envelope& env) {
-    NetSession<Policy>& s = shard.sessions[sid];
-    if (s.finished) {
+    const NetSession<Policy>& s = shard.sessions[sid];
+    if (s.proc.finished()) {
       SendReply(shard, sid, /*retransmit=*/true);
       return;
     }
     stats_.acks_sent += 1;
-    const Envelope ack{env.id, s.peer, s.requester, MessageKind::kAck, 0,
-                       env.trace};
+    const Envelope ack{env.id, s.proc.peer(), s.requester, MessageKind::kAck,
+                       0, env.trace};
     wire::Buffer buf;
-    shard.codec.EncodeAckMessage(ack, &buf);
-    JournalFrame(obs::JournalEventKind::kFrameSend, s.peer, ack, buf.size());
+    CodecOf(shard).EncodeAckMessage(ack, &buf);
+    JournalFrame(obs::JournalEventKind::kFrameSend, ack.from, ack, buf.size());
     transport_->Send(ack, buf.Take());
   }
 
@@ -389,8 +349,8 @@ class PeerDaemon {
     typename Policy::GlobalState g{};
     typename Overlay::Area area{};
     int64_t hops = 0;
-    if (!shard.codec.DecodeQueryPayload(r, &q, &g, &area, &hops) || !r->ok() ||
-        r->remaining() != 0) {
+    if (!CodecOf(shard).DecodeQueryPayload(r, &q, &g, &area, &hops) ||
+        !r->ok() || r->remaining() != 0) {
       // Dropped without entering the dedup window: the requester's
       // retransmission (possibly clean this time) must not be suppressed.
       stats_.frames_rejected += 1;
@@ -398,150 +358,76 @@ class PeerDaemon {
     }
     JournalFrame(obs::JournalEventKind::kFrameRecv, env.to, env, wire_bytes);
     const int sid = static_cast<int>(shard.sessions.size());
-    shard.sessions.emplace_back();
+    shard.sessions.push_back(NetSession<Policy>{
+        PeerSession<Overlay, Policy>(overlay_, &shard.policy), env.from,
+        env.id});
     dedup_.Insert(env.id, (static_cast<int64_t>(sid) << 8) |
-                              static_cast<int64_t>(
-                                  PolicyTagOf<Policy>::value));
-    NetSession<Policy>& s = shard.sessions.back();
-    s.peer = env.to;
-    s.requester = env.from;
-    s.origin_req = env.id;
-    s.query = std::move(q);
-    s.incoming = std::move(g);
-    s.r = static_cast<int>(hops);
-    s.fast = s.r <= 0;
+                              static_cast<int64_t>(shard.kTag));
     stats_.queries_served += 1;
     open_sessions_ += 1;
-    if (profiler_ != nullptr) profiler_->OnSpan(s.peer);
-
-    const auto& node = overlay_->GetPeer(s.peer);
-    s.local = shard.policy.ComputeLocalState(node.store, s.query, s.incoming);
-    s.global = shard.policy.ComputeGlobalState(s.query, s.incoming, s.local);
-
-    if (s.fast) {
-      // Algorithm 1 / Algorithm 3 second loop: forward everywhere at once.
-      std::vector<std::pair<PeerId, typename Overlay::Area>> targets;
-      for (const auto& link : node.links) {
-        typename Overlay::Area restricted;
-        if (!Overlay::IntersectArea(link.region, area, &restricted)) continue;
-        if (!shard.policy.IsLinkRelevant(s.query, s.global, restricted)) {
-          continue;
-        }
-        targets.emplace_back(link.target, std::move(restricted));
-      }
-      s.outstanding_children = static_cast<int>(targets.size());
-      for (auto& [target, restricted] : targets) {
-        NewRequest(shard, sid, target, shard.sessions[sid].global,
-                   std::move(restricted), 0);
-      }
-      if (shard.sessions[sid].outstanding_children == 0) {
-        FinishSession(shard, sid);
-      }
-    } else {
-      // Algorithm 2 / Algorithm 3 first loop: prioritized, sequential.
-      for (const auto& link : node.links) {
-        typename Overlay::Area restricted;
-        if (!Overlay::IntersectArea(link.region, area, &restricted)) continue;
-        const double priority = shard.policy.LinkPriority(s.query, restricted);
-        s.pending.push_back(typename NetSession<Policy>::Candidate{
-            link.target, std::move(restricted), priority});
-      }
-      std::stable_sort(
-          s.pending.begin(), s.pending.end(),
-          [](const auto& a, const auto& b) { return a.priority > b.priority; });
-      AdvanceSlow(shard, sid);
-    }
+    if (profiler_ != nullptr) profiler_->OnSpan(env.to);
+    Drive(shard, sid, [&](auto& proc) {
+      return proc.Open(env.to, std::move(q), std::move(g), area,
+                       static_cast<int>(hops));
+    });
   }
 
-  template <typename Policy>
-  void AdvanceSlow(Shard<Policy>& shard, int sid) {
-    while (shard.sessions[sid].next_candidate <
-           shard.sessions[sid].pending.size()) {
-      NetSession<Policy>& s = shard.sessions[sid];
-      auto& c = s.pending[s.next_candidate++];
-      if (!shard.policy.IsLinkRelevant(s.query, s.global, c.area)) continue;
-      NewRequest(shard, sid, c.target, s.global, std::move(c.area), s.r - 1);
-      return;  // wait for the response (or the retry budget)
-    }
-    FinishSession(shard, sid);
+  /// Feeds one input to a session and carries out the resulting step.
+  template <typename Policy, typename Input>
+  void Drive(Shard<Policy>& shard, int sid, Input&& input) {
+    auto step = input(shard.sessions[sid].proc);
+    for (auto& f : step.forwards) NewRequest(shard, sid, f.target, f.area, f.r);
+    if (step.finished) FinishSession(shard, sid, std::move(*step.finished));
   }
 
+  /// Report upward: merge the local answer into the convergecast
+  /// accumulator, encode the reply datagram (the reply cache), send.
   template <typename Policy>
-  void OnChildResponse(Shard<Policy>& shard, int sid,
-                       std::vector<typename Policy::LocalState> bundle) {
+  void FinishSession(
+      Shard<Policy>& shard, int sid,
+      typename PeerSession<Overlay, Policy>::Finished done) {
     NetSession<Policy>& s = shard.sessions[sid];
-    if (s.fast) {
-      for (auto& st : bundle) s.bundle.push_back(std::move(st));
-      if (--s.outstanding_children == 0) FinishSession(shard, sid);
-    } else {
-      shard.policy.MergeLocalStates(s.query, &s.local, bundle);
-      s.global = shard.policy.ComputeGlobalState(s.query, s.incoming, s.local);
-      AdvanceSlow(shard, sid);
-    }
-  }
-
-  template <typename Policy>
-  void ChildFailed(Shard<Policy>& shard, int sid) {
-    NetSession<Policy>& s = shard.sessions[sid];
-    if (s.fast) {
-      if (--s.outstanding_children == 0) FinishSession(shard, sid);
-    } else {
-      AdvanceSlow(shard, sid);
-    }
-  }
-
-  /// Report upward: encode the reply datagram (the reply cache), merge
-  /// the local answer into the convergecast accumulator, send.
-  template <typename Policy>
-  void FinishSession(Shard<Policy>& shard, int sid) {
-    NetSession<Policy>& s = shard.sessions[sid];
-    s.finished = true;
     open_sessions_ -= 1;
-    auto local_answer = shard.policy.ComputeLocalAnswer(
-        overlay_->GetPeer(s.peer).store, s.query, s.local);
-    shard.policy.MergeAnswer(&s.answer_acc, std::move(local_answer), s.query);
+    const auto& query = s.proc.query();
+    shard.policy.MergeAnswer(&s.answer_acc, std::move(done.answer), query);
+    const auto codec = CodecOf(shard);
+    const Envelope aenv{s.origin_req, s.proc.peer(), s.requester,
+                        MessageKind::kAnswer, 0, {}};
     wire::Buffer buf;
     if (IsClientId(s.requester)) {
       // This session is the query's root: the accumulator now holds the
       // whole tree's answer. Finalize and ship it alone.
-      shard.policy.FinalizeAnswer(&s.answer_acc, s.query);
+      shard.policy.FinalizeAnswer(&s.answer_acc, query);
       stats_.answers_finalized += 1;
-      const Envelope env{s.origin_req, s.peer, s.requester,
-                         MessageKind::kAnswer, 0, {}};
-      shard.codec.EncodeAnswerMessage(env, s.answer_acc, &buf);
+      codec.EncodeAnswerMessage(aenv, s.answer_acc, &buf);
     } else {
       // Interior node: states for the parent's merge, then the partial
       // answer, all under the parent's request id in one datagram.
-      const Envelope renv{s.origin_req, s.peer, s.requester,
-                          MessageKind::kResponse, 0, {}};
-      if (s.fast) {
-        for (const auto& st : s.bundle) {
-          shard.codec.EncodeResponseFrame(renv, st, &buf);
-        }
+      Envelope renv = aenv;
+      renv.kind = MessageKind::kResponse;
+      for (const auto& st : done.states) {
+        codec.EncodeResponseFrame(renv, st, &buf);
       }
-      shard.codec.EncodeResponseFrame(renv, s.local, &buf);
       if (shard.policy.AnswerTupleCount(s.answer_acc) > 0) {
-        const Envelope aenv{s.origin_req, s.peer, s.requester,
-                            MessageKind::kAnswer, 0, {}};
-        shard.codec.EncodeAnswerMessage(aenv, s.answer_acc, &buf);
+        codec.EncodeAnswerMessage(aenv, s.answer_acc, &buf);
       }
     }
     s.reply_frame = buf.Take();
-    s.bundle.clear();
-    s.pending.clear();
+    s.answer_acc = {};
     SendReply(shard, sid, /*retransmit=*/false);
   }
 
   template <typename Policy>
   void SendReply(Shard<Policy>& shard, int sid, bool retransmit) {
-    NetSession<Policy>& s = shard.sessions[sid];
+    const NetSession<Policy>& s = shard.sessions[sid];
+    const PeerId peer = s.proc.peer();
     const MessageKind kind = IsClientId(s.requester) ? MessageKind::kAnswer
                                                      : MessageKind::kResponse;
-    const Envelope env{s.origin_req, s.peer, s.requester, kind,
+    const Envelope env{s.origin_req, peer, s.requester, kind,
                        retransmit ? 1 : 0, {}};
     if (retransmit) {
       stats_.retransmissions += 1;
-      if (profiler_ != nullptr) profiler_->OnRetransmission(s.peer);
+      if (profiler_ != nullptr) profiler_->OnRetransmission(peer);
     } else {
       stats_.replies_sent += 1;
     }
@@ -549,171 +435,120 @@ class PeerDaemon {
       // Clients are not overlay peers: their synthetic ids must never
       // index the profiler's dense per-peer vector.
       if (IsClientId(s.requester)) {
-        profiler_->OnMessageOut(s.peer, 0, s.reply_frame.size());
+        profiler_->OnMessageOut(peer, 0, s.reply_frame.size());
       } else {
-        profiler_->OnMessage(s.peer, s.requester, 0, s.reply_frame.size());
+        profiler_->OnMessage(peer, s.requester, 0, s.reply_frame.size());
       }
     }
     JournalFrame(retransmit ? obs::JournalEventKind::kRetransmit
                             : obs::JournalEventKind::kFrameSend,
-                 s.peer, env, s.reply_frame.size());
+                 peer, env, s.reply_frame.size());
     transport_->Send(env, std::vector<uint8_t>(s.reply_frame));
   }
 
   // --- child requests ----------------------------------------------------
 
+  /// Forwards the query with session `sid`'s current global state. The
+  /// live frame carries the policy tag before the codec's payload.
   template <typename Policy>
   void NewRequest(Shard<Policy>& shard, int sid, PeerId target,
-                  const typename Policy::GlobalState& state,
-                  typename Overlay::Area area, int r) {
-    NetSession<Policy>& s = shard.sessions[sid];
-    const uint64_t id = MakeMessageId(s.peer, next_seq_++);
-    Pending p;
-    p.tag = PolicyTagOf<Policy>::value;
-    p.session = sid;
-    p.from = s.peer;
-    p.target = target;
-    p.timeout_ms = retry_.timeout;
-    const Envelope env{id, s.peer, target, MessageKind::kQuery, 0, {}};
+                  const typename Overlay::Area& area, int r) {
+    const auto& proc = shard.sessions[sid].proc;
+    const uint64_t id = MakeMessageId(proc.peer(), next_seq_++);
+    const Envelope env{id, proc.peer(), target, MessageKind::kQuery, 0, {}};
     wire::Buffer buf;
     const size_t start = BeginEnvelopeFrame(env, &buf);
-    buf.PutU8(static_cast<uint8_t>(PolicyTagOf<Policy>::value));
+    buf.PutU8(static_cast<uint8_t>(shard.kTag));
     buf.PutZigzag(r);
-    shard.policy.EncodeQuery(s.query, &buf);
-    shard.policy.EncodeState(state, &buf);
+    shard.policy.EncodeQuery(proc.query(), &buf);
+    shard.policy.EncodeState(proc.global(), &buf);
     overlay_->EncodeArea(area, &buf);
     wire::EndFrame(&buf, start);
-    p.frame = buf.Take();
-    auto [it, inserted] = pending_.emplace(id, std::move(p));
-    (void)inserted;
+    pending_.Add(id, ChildRequest{shard.kTag, sid, proc.peer(), target},
+                 buf.Take());
     stats_.child_requests += 1;
-    inflight_requests_ += 1;
-    TransmitRequest(it->first);
-  }
-
-  void TransmitRequest(uint64_t id) {
-    Pending& p = pending_[id];
-    const Envelope env{id, p.from, p.target, MessageKind::kQuery, p.strikes,
-                       {}};
-    if (profiler_ != nullptr) {
-      profiler_->OnMessage(p.from, p.target, 0, p.frame.size());
-      if (p.strikes > 0) profiler_->OnRetransmission(p.from);
-    }
-    JournalFrame(p.strikes > 0 ? obs::JournalEventKind::kRetransmit
-                               : obs::JournalEventKind::kFrameSend,
-                 p.from, env, p.frame.size());
-    // Arm before Send: a synchronous test transport may re-enter Dispatch
-    // inside Send and grow pending_, invalidating `p`. Nothing of `p` is
-    // touched after the Send.
-    p.timer = timers_.Arm(p.timeout_ms, [this, id] { OnRequestTimeout(id); });
-    std::vector<uint8_t> copy(p.frame);
-    transport_->Send(env, std::move(copy));
-  }
-
-  void OnRequestTimeout(uint64_t id) {
-    auto it = pending_.find(id);
-    if (it == pending_.end() || it->second.resolved) return;
-    Pending& p = it->second;
-    if (p.strikes >= retry_.max_retries) {
-      p.resolved = true;
-      inflight_requests_ -= 1;
-      stats_.links_unresolved += 1;
-      RIPPLE_LOG(kWarn, "net: giving up on peer %u after %d attempts",
-                 p.target, p.strikes + 1);
-      // Copy out before the callback chain below mutates pending_.
-      const PolicyTag tag = p.tag;
-      const int session = p.session;
-      ResolveChildFailure(tag, session);
-      return;
-    }
-    p.strikes += 1;
-    p.timeout_ms = BackedOffWallTimeout(p.timeout_ms);
-    stats_.retransmissions += 1;
     TransmitRequest(id);
   }
 
-  double BackedOffWallTimeout(double current) const {
-    return std::min(current * retry_.backoff, retry_.timeout_cap);
+  void TransmitRequest(uint64_t id) {
+    auto& p = *pending_.Find(id);
+    const ChildRequest c = p.meta;
+    // The journal's attempt is the strike count, which an ack resets.
+    const Envelope env{id, c.from, c.target, MessageKind::kQuery, p.strikes,
+                       {}};
+    if (profiler_ != nullptr) {
+      profiler_->OnMessage(c.from, c.target, 0, p.frame.size());
+      if (p.strikes > 0) profiler_->OnRetransmission(c.from);
+    }
+    JournalFrame(p.strikes > 0 ? obs::JournalEventKind::kRetransmit
+                               : obs::JournalEventKind::kFrameSend,
+                 c.from, env, p.frame.size());
+    transport_->Send(env, pending_.NextCopy(p));
+    pending_.Arm(id, [this, id] { OnRequestTimeout(id); });
   }
 
-  void ResolveChildFailure(PolicyTag tag, int session) {
-    switch (tag) {
-      case PolicyTag::kTopK: ChildFailed(topk_, session); break;
-      case PolicyTag::kSkyline: ChildFailed(skyline_, session); break;
-      case PolicyTag::kSkyband: ChildFailed(skyband_, session); break;
-      case PolicyTag::kRange: ChildFailed(range_, session); break;
+  void OnRequestTimeout(uint64_t id) {
+    auto* p = pending_.Find(id);
+    if (p == nullptr) return;
+    if (pending_.Strike(*p)) {
+      stats_.retransmissions += 1;
+      TransmitRequest(id);
+      return;
     }
+    const ChildRequest c = p->meta;
+    stats_.links_unresolved += 1;
+    RIPPLE_LOG(kWarn, "net: giving up on peer %u after %d attempts", c.target,
+               p->strikes + 1);
+    pending_.Resolve(id);
+    WithShard(c.tag, [&](auto& shard) {
+      Drive(shard, c.session, [](auto& proc) { return proc.OnChildFailed(); });
+    });
   }
 
   // --- incoming responses / acks ------------------------------------------
 
   void HandleResponse(const Datagram& d) {
-    auto it = pending_.find(d.env.id);
-    if (it == pending_.end() || it->second.resolved) {
+    auto* p = pending_.Find(d.env.id);
+    if (p == nullptr) {
       stats_.late_responses += 1;
       return;
     }
-    switch (it->second.tag) {
-      case PolicyTag::kTopK: ConsumeResponse(topk_, it->second, d); break;
-      case PolicyTag::kSkyline: ConsumeResponse(skyline_, it->second, d); break;
-      case PolicyTag::kSkyband: ConsumeResponse(skyband_, it->second, d); break;
-      case PolicyTag::kRange: ConsumeResponse(range_, it->second, d); break;
-    }
+    WithShard(p->meta.tag,
+              [&](auto& shard) { ConsumeResponse(shard, p->meta, d); });
   }
 
-  /// Walks a reply datagram's back-to-back frames: state frames for the
-  /// requester's merge, then at most one answer frame (the child subtree's
-  /// partial answer). All-or-nothing: any undecodable frame drops the
-  /// datagram and leaves recovery to the retransmission timer.
+  /// Consumes a reply datagram (WireCodec::DecodeReply): states for the
+  /// requester's merge plus the child subtree's partial answer. An
+  /// undecodable datagram is dropped whole; the retransmission timer
+  /// recovers it.
   template <typename Policy>
-  void ConsumeResponse(Shard<Policy>& shard, Pending& p, const Datagram& d) {
-    std::vector<typename Policy::LocalState> bundle;
-    typename Policy::Answer partial{};
-    bool has_partial = false;
-    wire::Reader r(d.bytes);
-    bool ok = !d.bytes.empty();
-    while (ok && r.remaining() > 0) {
-      wire::FrameHeader h;
-      if (!wire::DecodeFrameHeader(&r, &h) || h.id != d.env.id) {
-        ok = false;
-        break;
-      }
-      const size_t frame_end = r.position() + wire::FramePayloadSize(h);
-      if (h.tag == static_cast<uint8_t>(MessageKind::kResponse)) {
-        typename Policy::LocalState st{};
-        ok = !has_partial && shard.codec.DecodeResponsePayload(&r, &st) &&
-             r.ok() && r.position() == frame_end;
-        if (ok) bundle.push_back(std::move(st));
-      } else if (h.tag == static_cast<uint8_t>(MessageKind::kAnswer)) {
-        ok = !has_partial && shard.codec.DecodeAnswerPayload(&r, &partial) &&
-             r.ok() && r.position() == frame_end;
-        has_partial = true;
-      } else {
-        ok = false;
-      }
-    }
-    if (!ok || bundle.empty()) {
+  void ConsumeResponse(Shard<Policy>& shard, const ChildRequest c,
+                       const Datagram& d) {
+    typename WireCodec<Overlay, Policy>::Reply reply;
+    if (!CodecOf(shard).DecodeReply(d.bytes, d.env.id, /*allow_partial=*/true,
+                                    &reply)) {
       stats_.frames_rejected += 1;
       return;
     }
-    JournalFrame(obs::JournalEventKind::kFrameRecv, p.from, d.env,
+    JournalFrame(obs::JournalEventKind::kFrameRecv, c.from, d.env,
                  d.bytes.size());
-    p.resolved = true;
-    inflight_requests_ -= 1;
-    timers_.Cancel(p.timer);
-    NetSession<Policy>& s = shard.sessions[p.session];
-    if (has_partial) {
-      shard.policy.MergeAnswer(&s.answer_acc, std::move(partial), s.query);
+    pending_.Resolve(d.env.id);
+    NetSession<Policy>& s = shard.sessions[c.session];
+    if (reply.partial) {
+      shard.policy.MergeAnswer(&s.answer_acc, std::move(*reply.partial),
+                               s.proc.query());
     }
-    OnChildResponse(shard, p.session, std::move(bundle));
+    Drive(shard, c.session, [&](auto& proc) {
+      return proc.OnChildStates(std::move(reply.states));
+    });
   }
 
   void HandleAck(const Datagram& d) {
-    auto it = pending_.find(d.env.id);
-    if (it == pending_.end() || it->second.resolved) return;
-    JournalFrame(obs::JournalEventKind::kFrameRecv, it->second.from, d.env,
+    auto* p = pending_.Find(d.env.id);
+    if (p == nullptr) return;
+    JournalFrame(obs::JournalEventKind::kFrameRecv, p->meta.from, d.env,
                  d.bytes.size());
-    it->second.strikes = 0;
+    pending_.Ack(*p);
   }
 
   const Overlay* overlay_;
@@ -729,13 +564,9 @@ class PeerDaemon {
   WallTimers timers_;
   DaemonStats stats_;
   uint64_t open_sessions_ = 0;
-  uint64_t inflight_requests_ = 0;
   uint32_t next_seq_ = 1;
-  std::unordered_map<uint64_t, Pending> pending_;
-  Shard<TopKPolicy> topk_;
-  Shard<SkylinePolicy> skyline_;
-  Shard<SkybandPolicy> skyband_;
-  Shard<RangePolicy> range_;
+  Retransmitter<WallTimers, ChildRequest> pending_{&timers_, retry_};
+  Shards shards_;
 };
 
 }  // namespace ripple::net

@@ -75,8 +75,7 @@ inline size_t BeginEnvelopeFrame(const Envelope& env, wire::Buffer* buf) {
 
 /// Decodes one frame header into an envelope, reporting why it failed
 /// (truncation vs a semantic rejection — the split net.frames_truncated /
-/// net.frames_rejected counters need the distinction). A v1 frame decodes
-/// with an empty trace context.
+/// net.frames_rejected counters need the distinction).
 inline wire::FrameError DecodeEnvelopeFrameEx(wire::Reader* r,
                                               Envelope* env) {
   wire::FrameHeader h;

@@ -68,6 +68,25 @@ struct JournalEvent {
   uint64_t timeouts = 0;
 };
 
+/// The frame-level event (send, receive, retransmit, drop, crash) of the
+/// frame an envelope (net::Envelope) describes, at `peer` and engine time
+/// `time`.
+template <typename Envelope>
+JournalEvent FrameEvent(JournalEventKind kind, uint32_t peer, double time,
+                        const Envelope& env, uint64_t bytes) {
+  JournalEvent e;
+  e.kind = kind;
+  e.peer = peer;
+  e.sim_time = time;
+  e.trace_id = env.trace.trace_id;
+  e.msg_id = env.id;
+  e.msg_kind = static_cast<uint8_t>(env.kind);
+  e.parent_span = env.trace.parent_span;
+  e.bytes = bytes;
+  e.attempt = env.attempt;
+  return e;
+}
+
 /// One JSONL line per event; the inverse of ParseJournalLine.
 std::string JournalEventToJson(const JournalEvent& e);
 

@@ -3,6 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "net/envelope.h"
 #include "wire/buffer.h"
@@ -76,6 +79,49 @@ class WireCodec {
   }
   bool DecodeAnswerPayload(wire::Reader* r, Answer* a) const {
     return policy_->DecodeAnswer(r, a);
+  }
+
+  /// A decoded reply datagram: back-to-back frames under the request's
+  /// message id, state frames for the requester's merge, then at most one
+  /// answer frame (a live subtree's partial answer).
+  struct Reply {
+    std::vector<LocalState> states;
+    std::optional<Answer> partial;
+    wire::FrameHeader first;  // header of the first frame (journaling)
+    /// Why a frame header failed; kOk when a payload failed instead, and
+    /// kTruncated for an empty datagram.
+    wire::FrameError error = wire::FrameError::kOk;
+  };
+
+  /// All-or-nothing: false when any frame fails, the id does not match, an
+  /// answer frame appears where `allow_partial` is off or twice, a state
+  /// follows the answer, or no state arrived at all.
+  bool DecodeReply(const std::vector<uint8_t>& datagram, uint64_t id,
+                   bool allow_partial, Reply* out) const {
+    if (datagram.empty()) {
+      out->error = wire::FrameError::kTruncated;
+      return false;
+    }
+    wire::Reader r(datagram);
+    while (r.remaining() > 0) {
+      wire::FrameHeader h;
+      out->error = wire::DecodeFrameHeaderEx(&r, &h);
+      if (out->error != wire::FrameError::kOk || h.id != id) return false;
+      if (out->states.empty()) out->first = h;
+      const size_t frame_end = r.position() + wire::FramePayloadSize(h);
+      bool ok = false;
+      if (h.tag == static_cast<uint8_t>(net::MessageKind::kResponse) &&
+          !out->partial) {
+        LocalState st{};
+        ok = DecodeResponsePayload(&r, &st);
+        out->states.push_back(std::move(st));
+      } else if (h.tag == static_cast<uint8_t>(net::MessageKind::kAnswer) &&
+                 allow_partial && !out->partial) {
+        ok = DecodeAnswerPayload(&r, &out->partial.emplace());
+      }
+      if (!ok || !r.ok() || r.position() != frame_end) return false;
+    }
+    return !out->states.empty();
   }
 
   size_t EncodeAckMessage(const net::Envelope& env, wire::Buffer* buf) const {

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -26,12 +24,12 @@
 #include "obs/trace.h"
 #include "overlay/types.h"
 #include "ripple/api.h"
+#include "ripple/peer_session.h"
 #include "ripple/policy.h"
+#include "ripple/retransmit.h"
 #include "ripple/wire_codec.h"
 #include "sim/event_sim.h"
 #include "sim/fault_model.h"
-#include "sim/retransmit.h"
-#include "sim/session.h"
 #include "wire/buffer.h"
 #include "wire/frame.h"
 
@@ -45,55 +43,33 @@ inline LatencyModel UnitLatency() {
   return [](PeerId, PeerId) { return 1.0; };
 }
 
-/// Message-level asynchronous execution of the RIPPLE algorithms.
+/// Drives the per-peer RIPPLE procedure (ripple::PeerSession) over a
+/// simulated network: query forwards, per-subtree state responses (fast
+/// subtrees convergecast their bundles) and answer deliveries straight to
+/// the initiator are explicit messages through a discrete-event scheduler,
+/// each taking LatencyModel time on the wire.
 ///
-/// The recursive Engine evaluates Algorithms 1-3 as function calls with
-/// analytic latency accounting; this class executes the *same* policies as
-/// explicit messages through a discrete-event scheduler, the way deployed
-/// peers would: query forwards, per-subtree state responses (fast-phase
-/// subtrees convergecast their state bundles), and answer deliveries to
-/// the initiator, each taking LatencyModel time on the wire.
+/// Every message crosses a real serialization boundary: it is encoded
+/// (ripple/wire_codec.h, docs/WIRE.md) and handed to the fire-and-forget
+/// net::Transport; whatever the transport delivers back through the
+/// engine's receiver is what gets decoded, so policy code at a peer runs on
+/// exactly what came off the wire. The default LoopbackTransport validates
+/// each datagram and delivers it synchronously (the wire takes zero
+/// simulated time). A custom transport (SetTransport) may count, corrupt or
+/// swallow datagrams, and arms the fault machinery so rejections and
+/// losses degrade into retransmissions and coverage loss, never hangs.
 ///
-/// Every transmission crosses a real serialization boundary: the message
-/// is encoded into a framed wire datagram (ripple/wire_codec.h,
-/// docs/WIRE.md) and handed to net::Transport::Send, which is
-/// fire-and-forget; whatever the transport delivers back through the
-/// engine's installed receiver is what gets decoded — objects never
-/// cross, so policy code at a peer runs on exactly what came off the
-/// wire. The default LoopbackTransport asserts each datagram is
-/// well-framed and delivers it unchanged, synchronously, which keeps the
-/// simulated clock exact (the receiver only schedules events, the wire
-/// itself takes zero simulated time). A custom transport (SetTransport)
-/// may count, corrupt or swallow datagrams — swallowing is simply never
-/// delivering — and the engine arms its fault machinery so decode
-/// rejections and silent losses degrade into timer-driven
-/// retransmissions and coverage loss rather than hangs.
-/// QueryStats::bytes_on_wire records the encoded bytes, charged at the
-/// sender exactly where messages are charged.
-///
-/// Fault tolerance: when the request's FaultOptions describe an imperfect
-/// network (AnyFault()), every transmission runs through a deterministic
-/// FaultModel (loss, duplication, delay jitter, peer crashes) and the
-/// protocol arms itself:
-///  * every logical message carries an id; retransmissions reship the
-///    byte-identical frame snapshot and receivers suppress duplicates
-///    through per-peer dedup windows;
-///  * requesters arm per-message timers with capped exponential backoff;
-///    a finished callee answers retransmitted queries from its encoded
-///    reply cache, a still-running callee sends a progress ack that
-///    restores the requester's patience;
-///  * after `max_retries` consecutive silent timeouts the requester gives
-///    up on the link, folds in what it has, and the result is returned
-///    flagged `complete = false` with a Coverage report.
-/// With the default (perfect-network) options none of this machinery
-/// exists at runtime and the engine keeps its cross-validation contract:
-///
-/// For any query, overlay and ripple parameter, the fault-free async
-/// execution produces exactly the same answer, the same set of visited
-/// peers, the same message count and the same bytes-on-wire as the
-/// recursive engine; its completion time upper-bounds the engine's
-/// forward-hop latency (responses ride the clock here, not in the
-/// lemma-style accounting).
+/// Fault tolerance: when FaultOptions::AnyFault(), every transmission runs
+/// through a deterministic FaultModel (loss, duplication, jitter, crashes)
+/// and the protocol arms itself: messages carry ids, receivers dedup them,
+/// requesters retransmit byte-identical frames with capped backoff
+/// (net::Retransmitter on the simulator's TimerWheel), finished callees
+/// replay their cached reply and running ones ack, and a spent retry
+/// budget folds in what arrived and flags the result `complete = false`
+/// with a Coverage report. On a perfect network none of this exists and
+/// the cross-validation contract holds: the same answer, visited peers,
+/// message count and bytes-on-wire as the recursive engine, with a
+/// completion time that upper-bounds its forward-hop latency.
 template <typename Overlay, typename Policy>
   requires QueryPolicy<Policy, typename Overlay::Area>
 class AsyncEngine {
@@ -105,7 +81,6 @@ class AsyncEngine {
   using Answer = typename Policy::Answer;
   using Request = QueryRequest<Policy>;
   using Result = QueryResult<Answer>;
-  using Session = ripple::Session<Policy, Area>;
 
   AsyncEngine(const Overlay* overlay, Policy policy,
               LatencyModel latency = UnitLatency())
@@ -114,52 +89,39 @@ class AsyncEngine {
         latency_(std::move(latency)) {}
 
   /// Attaches a tracer recording one span per session, stamped with
-  /// simulator time (so wire delays from the LatencyModel are visible in
-  /// the trace). Same contract as Engine::SetTracer: nullptr disables,
+  /// simulator time. Same contract as Engine::SetTracer: nullptr disables,
   /// not owned, QueryStats are identical either way. Under faults, spans
   /// additionally carry per-session retry/timeout counts.
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
   /// Attaches a per-peer event journal (obs/journal.h): frame sends,
-  /// receives, retransmissions, network drops and crash-drops are appended
-  /// to the acting peer's log — but only for head-sampled queries
-  /// (request.trace_id != 0), so an unsampled workload writes nothing.
-  /// When a tracer is also attached, Run() points it at the same journal,
-  /// mirroring span begin/end events so the offline assembler
-  /// (obs/assemble.h) can rebuild the full span tree from the journals
-  /// alone. nullptr detaches; not owned.
+  /// receives, retransmissions, drops and crash-drops of head-sampled
+  /// queries (request.trace_id != 0) go to the acting peer's log. With a
+  /// tracer attached, Run() points it at the same journal so the offline
+  /// assembler can rebuild the span tree. nullptr detaches; not owned.
   void SetJournal(obs::JournalSet* journal) { journal_ = journal; }
   obs::JournalSet* journal() const { return journal_; }
 
-  /// Observer invoked for every peer that opens a session (one activation
-  /// per visited peer — same contract as Engine::SetVisitObserver, so
-  /// callers studying per-peer load can treat both engines uniformly).
-  /// Pass nullptr to clear.
+  /// Observer invoked for every peer that opens a session — same contract
+  /// as Engine::SetVisitObserver. Pass nullptr to clear.
   void SetVisitObserver(std::function<void(PeerId)> observer) {
     visit_observer_ = std::move(observer);
   }
 
   /// Secondary slow-phase contact order on priority ties — same contract
-  /// as Engine::SetLinkBias: larger bias first, never changes which links
-  /// are contacted or the answer, only tie order. nullptr clears.
-  void SetLinkBias(std::function<double(PeerId)> bias) {
-    link_bias_ = std::move(bias);
-  }
+  /// as Engine::SetLinkBias. nullptr clears.
+  void SetLinkBias(LinkBias bias) { link_bias_ = std::move(bias); }
 
   /// Attaches a per-peer load profiler (same contract as
-  /// Engine::SetProfiler: message/byte charges mirror QueryStats at the
-  /// sender, so totals cross-check; here the profiler additionally sees
-  /// retransmissions, acks and per-peer fan-out high-water marks from
-  /// the fault machinery). nullptr disables; not owned.
+  /// Engine::SetProfiler; here it also sees retransmissions, acks and
+  /// fan-out high-water marks). nullptr disables; not owned.
   void SetProfiler(obs::Profiler* profiler) { profiler_ = profiler; }
   obs::Profiler* profiler() const { return profiler_; }
 
   /// Replaces the default loopback transport (nullptr restores it; not
   /// owned). A custom transport is treated as an imperfect network: the
-  /// fault machinery arms even under clean FaultOptions, so a transport
-  /// that corrupts or swallows datagrams degrades the result's coverage
-  /// instead of hanging the simulation.
+  /// fault machinery arms even under clean FaultOptions.
   void SetTransport(net::Transport* transport) { transport_ = transport; }
   net::Transport* transport() const {
     return transport_ != nullptr ? transport_ : &default_transport_;
@@ -190,6 +152,52 @@ class AsyncEngine {
   }
 
  private:
+  using Proc = PeerSession<Overlay, Policy>;
+
+  /// The simulator's record of one activation: the procedure itself plus
+  /// what the driver needs to respond and replay.
+  struct Session {
+    Proc proc;
+    int64_t origin_req = -1;  // query-forward id that spawned us; -1: root
+    uint32_t span = obs::kNoSpan;
+    // Reply cache: the encoded response datagram (one frame per state), so
+    // a retransmitted query is answered byte-identically without
+    // re-execution; `parts` carries each frame's charged bytes and tuples.
+    struct Part {
+      size_t bytes = 0;
+      uint64_t tuples = 0;
+    };
+    std::vector<uint8_t> response_frame;
+    std::vector<Part> parts;
+  };
+
+  /// Who asked whom, per query-forward id. Outlives the retransmission
+  /// entry: late and duplicate copies still need the route.
+  struct Route {
+    int requester;
+    PeerId from;
+    PeerId target;
+    bool resolved = false;  // response consumed, or given up
+    bool failed = false;    // given up
+  };
+
+  /// An answer delivery: the sender and what each attempt charges.
+  struct AnswerMeta {
+    PeerId from = kInvalidPeer;
+    size_t tuples = 0;
+    uint32_t span = obs::kNoSpan;
+  };
+
+  /// Answers ride a bounded-retry reliable channel whose acks are elided:
+  /// the sender cannot observe a lost or rejected datagram, so each
+  /// transmission arms a watchdog with constant patience (a cap equal to
+  /// the initial timeout) and the same retry budget.
+  static net::RetryOptions WatchdogOptions(net::RetryOptions r) {
+    r.backoff = 1.0;
+    r.timeout_cap = r.timeout;
+    return r;
+  }
+
   struct Runtime {
     Runtime(const AsyncEngine* engine, const Request* req)
         : self(engine),
@@ -197,7 +205,9 @@ class AsyncEngine {
           ft(req->fault.AnyFault() || engine->transport_ != nullptr),
           fault(req->fault, req->initiator),
           timers(&sim),
-          codec(engine->overlay_, &engine->policy_) {}
+          codec(engine->overlay_, &engine->policy_),
+          forwards(&timers, req->retry),
+          answers(&timers, WatchdogOptions(req->retry)) {}
 
     const AsyncEngine* self;
     const Request* request;
@@ -207,12 +217,15 @@ class AsyncEngine {
     TimerWheel timers;
     WireCodec<Overlay, Policy> codec;
     net::WireTraffic traffic;
-    SessionTable<Policy, Area> sessions;
-    std::vector<PendingRequest> requests;  // indexed by message id
-    std::vector<PendingAnswer> answers;
+    std::vector<Session> sessions;
+    std::vector<Route> routes;  // indexed by query-forward id
+    // In flight: query forwards (meta: state tuples charged per attempt)
+    // and answer deliveries.
+    Retransmitter<TimerWheel, uint64_t> forwards;
+    Retransmitter<TimerWheel, AnswerMeta> answers;
+    uint64_t next_answer = 0;
     std::unordered_map<PeerId, net::DedupWindow> query_dedup;
     Result result;
-    int answers_outstanding = 0;
     bool root_done = false;
     bool deadline_hit = false;
     double root_finish_time = 0;
@@ -220,11 +233,13 @@ class AsyncEngine {
 
     const Policy& policy() const { return self->policy_; }
     const Overlay& overlay() const { return *self->overlay_; }
-    const net::RetryOptions& retry() const { return request->retry; }
     obs::Profiler* profiler() const { return self->profiler_; }
+    obs::Span* SpanOf(uint32_t span) const {
+      return span == obs::kNoSpan ? nullptr : &self->tracer_->span(span);
+    }
 
-    /// The wire trace context a peer whose live span is `span` stamps into
-    /// an outgoing frame: the query's trace id, the sender's span as the
+    /// The trace context a peer whose live span is `span` stamps into an
+    /// outgoing frame: the query's trace id, the sender's span as the
     /// receiver's parent, and the initiator's head-sampling decision.
     wire::TraceContext TraceFor(uint32_t span) const {
       wire::TraceContext t;
@@ -234,38 +249,32 @@ class AsyncEngine {
       return t;
     }
 
-    /// The journal to feed, or nullptr when none is attached or the query
-    /// is unsampled (head sampling gates every event).
-    obs::JournalSet* journal() const {
-      return request->trace_id != 0 ? self->journal_ : nullptr;
-    }
-
-    /// Appends one frame-level journal event to `peer`'s log.
+    /// Appends one frame-level event to `peer`'s journal; head sampling
+    /// gates every event.
     void JournalFrame(obs::JournalEventKind kind, PeerId peer,
                       const net::Envelope& env, uint64_t bytes) {
-      obs::JournalSet* j = journal();
-      if (j == nullptr) return;
-      obs::JournalEvent e;
-      e.kind = kind;
-      e.peer = peer;
-      e.sim_time = sim.now();
+      if (request->trace_id == 0 || self->journal_ == nullptr) return;
+      obs::JournalEvent e = obs::FrameEvent(kind, peer, sim.now(), env, bytes);
       e.trace_id = request->trace_id;
-      e.msg_id = env.id;
-      e.msg_kind = static_cast<uint8_t>(env.kind);
-      e.parent_span = env.trace.parent_span;
-      e.bytes = bytes;
-      e.attempt = env.attempt;
-      j->Record(e);
+      self->journal_->Record(e);
+    }
+
+    /// Charges one sent message to stats, traffic and the profiler.
+    void Charge(uint64_t* traffic_bytes, PeerId from, PeerId to,
+                uint64_t tuples, uint64_t bytes) {
+      result.stats.messages += 1;
+      result.stats.tuples_shipped += tuples;
+      result.stats.bytes_on_wire += bytes;
+      *traffic_bytes += bytes;
+      traffic.frames += 1;
+      if (profiler() != nullptr) profiler()->OnMessage(from, to, tuples, bytes);
     }
 
     // --- entry / exit ----------------------------------------------------
 
     void Start() {
-      // Every datagram the transport delivers during this run lands in
-      // OnWireDeliver, which applies the simulated network (latency,
-      // faults) and schedules the decode. The loopback transport calls
-      // straight back from inside Send(); a corrupting/swallowing test
-      // transport calls with modified bytes or not at all.
+      // Every datagram the transport delivers lands in OnWireDeliver,
+      // which applies the simulated network and schedules the decode.
       self->transport()->SetReceiver(
           [this](const net::Envelope& env, std::vector<uint8_t> bytes) {
             OnWireDeliver(env, std::move(bytes));
@@ -277,17 +286,19 @@ class AsyncEngine {
           request->initial_state.has_value()
               ? *request->initial_state
               : policy().InitialGlobalState(request->query);
-      // The initiator's root session has no parent and no envelope; its
-      // query never crossed a wire, so it copies the request's directly.
+      // The root session received no frame: it copies the request's query.
       StartSession(request->initiator, request->query, std::move(initial),
                    overlay().FullArea(), request->ripple.hops(),
-                   /*parent=*/kNoSession, kNoRequest, obs::kNoSpan);
+                   /*origin_req=*/-1, obs::kNoSpan);
     }
 
     Result Finalize() {
       self->transport()->SetReceiver(nullptr);
       if (!ft && !std::isfinite(request->deadline)) {
-        RIPPLE_CHECK(sessions.open() == 0 &&
+        RIPPLE_CHECK(std::all_of(sessions.begin(), sessions.end(),
+                                 [](const Session& s) {
+                                   return s.proc.finished();
+                                 }) &&
                      "async run left dangling sessions");
       }
       policy().FinalizeAnswer(&result.answer, request->query);
@@ -303,65 +314,49 @@ class AsyncEngine {
 
     // --- wire ------------------------------------------------------------
 
-    /// Hands one encoded datagram to the transport. Fire-and-forget: a
-    /// delivering transport calls back into OnWireDeliver (the loopback
-    /// does so synchronously, before this returns); a swallowing one
-    /// stays silent and the sender's timers take over.
-    void SendDatagram(const net::Envelope& env, std::vector<uint8_t> bytes) {
-      self->transport()->Send(env, std::move(bytes));
+    /// The transport delivered one datagram (possibly modified in flight).
+    /// The simulated network (latency, fault draws) sits between here and
+    /// the decode, exactly where the wire would be. The envelope id
+    /// recovers the sender-side bookkeeping — transport metadata, like a
+    /// UDP source address; the decode re-reads everything from the bytes.
+    void OnWireDeliver(const net::Envelope& env, std::vector<uint8_t> bytes) {
+      // Admin-plane kinds only exist on the live overlay.
+      RIPPLE_CHECK(!net::IsAdminKind(env.kind));
+      const net::MessageKind kind = env.kind;
+      const int64_t id = static_cast<int64_t>(env.id);
+      Transmit(env, [this, kind, id, datagram = std::move(bytes)] {
+        switch (kind) {
+          case net::MessageKind::kQuery: DeliverQuery(id, datagram); break;
+          case net::MessageKind::kResponse:
+            DeliverResponse(id, datagram);
+            break;
+          case net::MessageKind::kAck: DeliverAck(id, datagram); break;
+          case net::MessageKind::kAnswer: DeliverAnswer(id, datagram); break;
+          default: break;
+        }
+      });
     }
 
-    /// The transport delivered one datagram (possibly modified in
-    /// flight). This is where bytes re-enter the simulation: the message
-    /// kind routes to its decode path, and the simulated network
-    /// (latency model + fault draws) sits between here and the decode,
-    /// exactly where the wire would be. The envelope's id recovers the
-    /// sender-side bookkeeping entry — it is transport metadata, like a
-    /// UDP packet's source address, not part of the authenticated frame
-    /// (the decode re-reads everything from the bytes).
-    void OnWireDeliver(const net::Envelope& env, std::vector<uint8_t> bytes) {
-      switch (env.kind) {
-        case net::MessageKind::kQuery: {
-          const int64_t id = static_cast<int64_t>(env.id);
-          Transmit(env, env.from, env.to,
-                   [this, id, datagram = std::move(bytes)] {
-                     DeliverQuery(id, datagram);
-                   });
-          break;
-        }
-        case net::MessageKind::kResponse: {
-          const int64_t req_id = static_cast<int64_t>(env.id);
-          Transmit(env, env.from, env.to,
-                   [this, req_id, datagram = std::move(bytes)] {
-                     DeliverResponse(req_id, datagram);
-                   });
-          break;
-        }
-        case net::MessageKind::kAck: {
-          const int64_t id = static_cast<int64_t>(env.id);
-          Transmit(env, env.from, env.to,
-                   [this, id, datagram = std::move(bytes)] {
-                     DeliverAck(id, datagram);
-                   });
-          break;
-        }
-        case net::MessageKind::kAnswer:
-          OnAnswerWire(env, std::move(bytes));
-          break;
-        default:
-          // Admin-plane kinds only exist on the live overlay; the
-          // simulated wire never carries them.
-          RIPPLE_CHECK(!net::IsAdminKind(env.kind));
-          break;
+    /// Decodes a single-frame datagram of `kind` whose payload `payload`
+    /// reads completely; a failure is rejected (RejectFrame) and dropped.
+    template <typename Payload>
+    bool DecodeFrame(const std::vector<uint8_t>& datagram,
+                     net::MessageKind kind, net::Envelope* env,
+                     Payload&& payload) {
+      wire::Reader r(datagram);
+      const wire::FrameError ferr = net::DecodeEnvelopeFrameEx(&r, env);
+      if (ferr == wire::FrameError::kOk && env->kind == kind && payload(&r) &&
+          r.ok() && r.remaining() == 0) {
+        return true;
       }
+      RejectFrame(ferr);
+      return false;
     }
 
     /// A received datagram failed to decode. Corruption can only come from
-    /// a custom transport, and installing one arms `ft` — on a loopback
-    /// wire a rejection means an engine bug, so fail loudly. Truncated
-    /// length fields are counted apart from semantic rejections
-    /// (bad version / tag / payload), so the two failure families stay
-    /// distinguishable in the net.* metrics.
+    /// a custom transport, which arms `ft` — on a loopback wire a rejection
+    /// is an engine bug. Truncation is counted apart from semantic
+    /// rejections so the two failure families stay distinguishable.
     void RejectFrame(wire::FrameError err) {
       if (err == wire::FrameError::kTruncated) {
         traffic.frames_truncated += 1;
@@ -371,668 +366,412 @@ class AsyncEngine {
       RIPPLE_CHECK(ft && "frame rejected without fault machinery armed");
     }
 
-    /// Schedules a delivery callback at `to` after wire delay, dropping it
-    /// if the receiver has crashed by then. `deliver` must be idempotent
-    /// against duplicate copies (all receive paths dedup). `env` only
-    /// feeds the journal's crash-drop event.
-    void ScheduleDelivery(const net::Envelope& env, PeerId to, double delay,
+    /// Schedules `deliver` at `to` after `delay`, dropping it if the
+    /// receiver has crashed by then. Every receive path dedups, so a
+    /// duplicated copy is harmless.
+    void ScheduleDelivery(const net::Envelope& env, double delay,
                           std::function<void()> deliver) {
-      sim.Schedule(delay, [this, env, to, deliver = std::move(deliver)] {
-        if (ft && fault.CrashedAt(to, sim.now())) {
+      sim.Schedule(delay, [this, env, deliver = std::move(deliver)] {
+        if (ft && fault.CrashedAt(env.to, sim.now())) {
           result.coverage.crash_drops += 1;
-          NoteCrashed(to);
-          JournalFrame(obs::JournalEventKind::kCrash, to, env, 0);
+          NoteCrashed(env.to);
+          JournalFrame(obs::JournalEventKind::kCrash, env.to, env, 0);
           return;
         }
         deliver();
       });
     }
 
-    /// One wire transmission from -> to, subject to loss / jitter /
-    /// duplication. The caller has already charged the message to stats.
-    void Transmit(const net::Envelope& env, PeerId from, PeerId to,
-                  std::function<void()> deliver) {
-      const double base = self->latency_(from, to);
+    /// One wire transmission, subject to loss / jitter / duplication (in
+    /// that draw order). The sender already charged the message.
+    void Transmit(const net::Envelope& env, std::function<void()> deliver) {
+      const double base = self->latency_(env.from, env.to);
       if (!ft) {
         sim.Schedule(base, std::move(deliver));
         return;
       }
       if (fault.DropMessage()) {
         result.coverage.messages_lost += 1;
-        JournalFrame(obs::JournalEventKind::kDrop, from, env, 0);
+        JournalFrame(obs::JournalEventKind::kDrop, env.from, env, 0);
         return;
       }
       const double d = fault.Jitter(base);
       if (fault.DuplicateMessage()) {
         result.coverage.messages_duplicated += 1;
-        ScheduleDelivery(env, to, fault.Jitter(base), deliver);
+        ScheduleDelivery(env, fault.Jitter(base), deliver);
       }
-      ScheduleDelivery(env, to, d, std::move(deliver));
+      ScheduleDelivery(env, d, std::move(deliver));
     }
 
-    void NoteCrashed(PeerId peer) {
-      auto& v = result.coverage.crashed_peers;
-      auto it = std::lower_bound(v.begin(), v.end(), peer);
-      if (it == v.end() || *it != peer) v.insert(it, peer);
+    static void NoteSorted(std::vector<PeerId>* v, PeerId peer) {
+      auto it = std::lower_bound(v->begin(), v->end(), peer);
+      if (it == v->end() || *it != peer) v->insert(it, peer);
+    }
+    void NoteCrashed(PeerId p) { NoteSorted(&result.coverage.crashed_peers, p); }
+    void NoteUnreachable(PeerId p) {
+      NoteSorted(&result.coverage.unreachable_peers, p);
     }
 
-    void NoteUnreachable(PeerId peer) {
-      auto& v = result.coverage.unreachable_peers;
-      auto it = std::lower_bound(v.begin(), v.end(), peer);
-      if (it == v.end() || *it != peer) v.insert(it, peer);
-    }
+    // --- sessions: driving the PeerSession machine -----------------------
 
-    // --- sessions (the RIPPLE procedure itself) --------------------------
-
-    /// Opens the per-peer procedure with the query/state/area as decoded
-    /// at this peer (the caller already charged the message).
-    /// `wire_parent_span` is the parent span as carried by the query
-    /// frame's v2 header — trace parentage genuinely travels the wire, it
-    /// is never reconstructed from in-process session links (the root
-    /// session, which received no frame, passes obs::kNoSpan).
-    void StartSession(PeerId peer, Query query, GlobalState state, Area area,
-                      int r, int parent, int64_t origin_req,
+    /// Opens the procedure at `peer` on what was decoded there.
+    /// `wire_parent_span` is the parent span carried by the query frame's
+    /// header — trace parentage travels the wire (the root passes kNoSpan).
+    void StartSession(PeerId peer, Query query, GlobalState state,
+                      const Area& area, int r, int64_t origin_req,
                       uint32_t wire_parent_span) {
-      const int id = sessions.Create();
-      Session& s = sessions[id];
-      s.peer = peer;
-      s.query = std::move(query);
-      s.incoming = std::move(state);
-      s.area = std::move(area);
-      s.r = r;
-      s.parent = parent;
-      s.origin_req = origin_req;
-      s.fast = r <= 0;
+      const int id = static_cast<int>(sessions.size());
+      sessions.push_back(
+          Session{Proc(self->overlay_, &self->policy_), origin_req});
       result.stats.peers_visited += 1;
       if (self->visit_observer_) self->visit_observer_(peer);
       if (profiler() != nullptr) profiler()->OnSpan(peer);
       if (obs::Tracer* tracer = self->tracer_) {
-        s.span = tracer->StartSpan(
+        const uint32_t span = tracer->StartSpan(
             peer, wire_parent_span,
-            s.fast ? obs::SpanKind::kFast : obs::SpanKind::kSlow, r,
+            r <= 0 ? obs::SpanKind::kFast : obs::SpanKind::kSlow, r,
             sim.now());
-        tracer->span(s.span).tuples_in =
-            policy().GlobalStateTupleCount(s.incoming);
+        tracer->span(span).tuples_in = policy().GlobalStateTupleCount(state);
+        sessions[id].span = span;
       }
+      Drive(id, peer, [&](Proc& p) {
+        return p.Open(peer, std::move(query), std::move(state), area, r,
+                      self->link_bias_);
+      });
+    }
 
-      const auto& node = overlay().GetPeer(peer);
+    /// Feeds one input to session `id` at `peer` (its policy work timed
+    /// against the peer), then carries out the resulting step.
+    template <typename Input>
+    void Drive(int id, PeerId peer, Input&& input) {
+      typename Proc::Step step;
       {
         obs::ScopedTimer cpu(profiler(), peer);
-        s.local = policy().ComputeLocalState(node.store, s.query, s.incoming);
-        s.global = policy().ComputeGlobalState(s.query, s.incoming, s.local);
+        step = input(sessions[id].proc);
       }
-
-      if (s.fast) {
-        // Algorithm 1 / Algorithm 3 second loop: forward everywhere at
-        // once with the state snapshot.
-        std::vector<std::pair<PeerId, Area>> targets;
-        for (const auto& link : node.links) {
-          Area restricted;
-          if (!Overlay::IntersectArea(link.region, s.area, &restricted)) {
-            continue;
-          }
-          if (!policy().IsLinkRelevant(s.query, s.global, restricted)) {
-            if (s.span != obs::kNoSpan) {
-              self->tracer_->span(s.span).links_pruned += 1;
-            }
-            continue;
-          }
-          targets.emplace_back(link.target, std::move(restricted));
-        }
-        if (s.span != obs::kNoSpan) {
-          self->tracer_->span(s.span).links_forwarded = targets.size();
-        }
-        // Fast-phase fan-out: every relevant link outstanding at once.
-        if (profiler() != nullptr && !targets.empty()) {
-          profiler()->OnQueueDepth(peer, targets.size());
-        }
-        sessions[id].outstanding_children = static_cast<int>(targets.size());
-        for (auto& [target, restricted] : targets) {
-          NewRequest(id, target, sessions[id].global, std::move(restricted),
-                     0);
-        }
-        if (sessions[id].outstanding_children == 0) FinishSession(id);
-      } else {
-        // Algorithm 2 / Algorithm 3 first loop: prioritized, sequential.
-        for (const auto& link : node.links) {
-          Area restricted;
-          if (!Overlay::IntersectArea(link.region, s.area, &restricted)) {
-            continue;
-          }
-          const double priority = policy().LinkPriority(s.query, restricted);
-          s.pending.push_back(typename Session::Candidate{
-              link.target, std::move(restricted), priority});
-        }
-        const auto& bias = self->link_bias_;
-        std::stable_sort(s.pending.begin(), s.pending.end(),
-                         [&bias](const auto& a, const auto& b) {
-                           if (a.priority != b.priority) {
-                             return a.priority > b.priority;
-                           }
-                           if (bias) return bias(a.target) > bias(b.target);
-                           return false;
-                         });
-        AdvanceSlow(id);
+      const Session& s = sessions[id];
+      if (obs::Span* sp = SpanOf(s.span)) {
+        sp->links_pruned += step.links_pruned;
+        sp->links_forwarded += step.forwards.size();
       }
+      if (profiler() != nullptr && !step.forwards.empty()) {
+        // A fast fan-out has every forward outstanding at once.
+        profiler()->OnQueueDepth(s.proc.peer(), step.forwards.size());
+      }
+      for (auto& f : step.forwards) {
+        NewRequest(id, f.target, f.area, f.r);
+      }
+      if (step.finished) FinishSession(id, std::move(*step.finished));
     }
 
-    /// Slow phase: contact the next relevant candidate or finish.
-    void AdvanceSlow(int id) {
-      while (sessions[id].next_candidate < sessions[id].pending.size()) {
-        Session& s = sessions[id];
-        auto& c = s.pending[s.next_candidate++];
-        if (!policy().IsLinkRelevant(s.query, s.global, c.area)) {
-          if (s.span != obs::kNoSpan) {
-            self->tracer_->span(s.span).links_pruned += 1;
-          }
-          continue;
-        }
-        if (s.span != obs::kNoSpan) {
-          self->tracer_->span(s.span).links_forwarded += 1;
-        }
-        if (profiler() != nullptr) profiler()->OnQueueDepth(s.peer, 1);
-        NewRequest(id, c.target, s.global, std::move(c.area), s.r - 1);
-        return;  // wait for the response (or the retry budget)
-      }
-      FinishSession(id);
-    }
-
-    /// A child (or fast-subtree) responded with a bundle of local states.
+    /// A child (or fast subtree) responded with a bundle of local states.
     void OnResponse(int id, std::vector<LocalState> bundle) {
-      Session& s = sessions[id];
-      if (s.fast) {
-        for (LocalState& st : bundle) s.bundle.push_back(std::move(st));
-        if (--s.outstanding_children == 0) FinishSession(id);
-      } else {
-        if (s.span != obs::kNoSpan) {
-          self->tracer_->span(s.span).states_merged += bundle.size();
-        }
-        {
-          obs::ScopedTimer cpu(profiler(), s.peer);
-          policy().MergeLocalStates(s.query, &s.local, bundle);
-          s.global = policy().ComputeGlobalState(s.query, s.incoming, s.local);
-        }
-        AdvanceSlow(id);
+      if (obs::Span* sp = SpanOf(sessions[id].span);
+          sp != nullptr && !sessions[id].proc.fast()) {
+        sp->states_merged += bundle.size();
       }
+      Drive(id, sessions[id].proc.peer(),
+            [&](Proc& p) { return p.OnChildStates(std::move(bundle)); });
     }
 
-    /// A child could not be reached within the retry budget: fold in what
-    /// we have and continue without its subtree.
-    void ChildFailed(int id) {
-      Session& s = sessions[id];
-      if (s.fast) {
-        if (--s.outstanding_children == 0) FinishSession(id);
-      } else {
-        AdvanceSlow(id);
-      }
-    }
-
-    /// Lines 12-13 / 19-21: report the state upward, ship the answer.
-    void FinishSession(int id) {
-      Session& s = sessions[id];
-      // The final local state drives the answer extraction (fast sessions
-      // never merged, so s.local is the line-1 state, as in Alg. 1).
-      Answer answer;
-      {
-        obs::ScopedTimer cpu(profiler(), s.peer);
-        answer = policy().ComputeLocalAnswer(overlay().GetPeer(s.peer).store,
-                                             s.query, s.local);
-      }
-      const size_t tuples = policy().AnswerTupleCount(answer);
+    /// Ships the local answer to the initiator and reports the states to
+    /// the parent. In the protocol fast-phase peers address their states to
+    /// the nearest slow ancestor (Alg. 3 keeps forwarding u through the
+    /// fast phase), so state messages are charged once, at the slow session
+    /// consuming them; the convergecast through fast sessions only detects
+    /// completion.
+    void FinishSession(int id, typename Proc::Finished done) {
+      const size_t tuples = policy().AnswerTupleCount(done.answer);
       if (tuples > 0) {
-        SendAnswer(s.peer, std::move(answer), tuples, s.span);
+        SendAnswer(sessions[id].proc.peer(), std::move(done.answer), tuples,
+                   sessions[id].span);
       }
-      if (s.span != obs::kNoSpan) {
-        obs::Tracer* tracer = self->tracer_;
-        obs::Span& sp = tracer->span(s.span);
-        sp.state_tuples = policy().StateTupleCount(s.local);
-        sp.answer_tuples = tuples;
-        tracer->EndSpan(s.span, sim.now());
+      Session& s = sessions[id];
+      if (obs::Span* sp = SpanOf(s.span)) {
+        sp->state_tuples = policy().StateTupleCount(done.states.back());
+        sp->answer_tuples = tuples;
+        self->tracer_->EndSpan(s.span, sim.now());
       }
-
-      // In the protocol, fast-phase peers address their states directly to
-      // the nearest slow ancestor u (Alg. 3 keeps forwarding u through the
-      // fast phase), so state messages are accounted exactly once — at the
-      // slow session that consumes them; the convergecast through fast
-      // sessions only exists for completion detection. The reply cache is
-      // encoded once here (one frame per state) and reshipped verbatim on
-      // retransmitted queries.
-      if (s.parent >= 0) {
-        std::vector<LocalState> bundle_out;
-        if (s.fast) bundle_out = std::move(s.bundle);
-        bundle_out.push_back(s.local);
-        const net::Envelope env = ResponseEnvelope(id);
-        wire::Buffer buf;
-        for (const LocalState& st : bundle_out) {
-          const size_t bytes = codec.EncodeResponseFrame(env, st, &buf);
-          s.response_parts.push_back({bytes, policy().StateTupleCount(st)});
-        }
-        s.response_frame = buf.Take();
-      }
-      sessions.Close(id);
-      if (s.parent >= 0) {
-        SendResponse(id);
-      } else {
+      if (s.origin_req < 0) {
         root_done = true;
         root_finish_time = sim.now();
         MaybeStop();
+        return;
       }
+      const net::Envelope env = ResponseEnvelope(id);
+      wire::Buffer buf;
+      for (const LocalState& st : done.states) {
+        const size_t bytes = codec.EncodeResponseFrame(env, st, &buf);
+        s.parts.push_back({bytes, policy().StateTupleCount(st)});
+      }
+      s.response_frame = buf.Take();
+      SendResponse(id, /*retransmit=*/false);
     }
 
-    // --- requests, timeouts, retries -------------------------------------
+    // --- query forwards --------------------------------------------------
 
-    /// Issues a new logical query forward from session `requester`,
-    /// snapshotting the encoded frame so every (re)transmission is
-    /// byte-identical.
-    void NewRequest(int requester, PeerId target, const GlobalState& state,
-                    Area area, int r) {
-      const int64_t id = static_cast<int64_t>(requests.size());
-      requests.push_back(PendingRequest{});
-      PendingRequest& rq = requests[id];
-      rq.requester = requester;
-      rq.from = sessions[requester].peer;
-      rq.target = target;
-      rq.tuples = policy().GlobalStateTupleCount(state);
-      rq.timeout = retry().timeout;
-      const net::Envelope env{static_cast<uint64_t>(id), rq.from, target,
-                              net::MessageKind::kQuery, 0,
-                              TraceFor(sessions[requester].span)};
+    /// Issues a new query forward from session `requester` with its
+    /// current global state, snapshotting the encoded frame.
+    void NewRequest(int requester, PeerId target, const Area& area, int r) {
+      const Session& s = sessions[requester];
+      const uint64_t id = routes.size();
+      routes.push_back(Route{requester, s.proc.peer(), target});
+      const net::Envelope env{id, s.proc.peer(), target,
+                              net::MessageKind::kQuery, 0, TraceFor(s.span)};
       wire::Buffer buf;
-      codec.EncodeQueryMessage(env, sessions[requester].query, state, area, r,
+      codec.EncodeQueryMessage(env, s.proc.query(), s.proc.global(), area, r,
                                &buf);
-      rq.frame = buf.Take();
+      forwards.Add(id, policy().GlobalStateTupleCount(s.proc.global()),
+                   buf.Take());
       TransmitQuery(id);
     }
 
-    net::Envelope QueryEnvelope(int64_t id) const {
-      const PendingRequest& rq = requests[id];
-      return net::Envelope{static_cast<uint64_t>(id), rq.from, rq.target,
-                           net::MessageKind::kQuery, rq.attempt,
-                           TraceFor(sessions[rq.requester].span)};
+    void TransmitQuery(uint64_t id) {
+      const Route& rt = routes[id];
+      Ship(forwards, {id, rt.from, rt.target, net::MessageKind::kQuery, 0,
+                      TraceFor(sessions[rt.requester].span)},
+           forwards.Find(id)->meta, &traffic.bytes_query,
+           [this, id] { OnTimeout(id); });
     }
 
-    net::Envelope ResponseEnvelope(int id) const {
-      const Session& s = sessions[id];
-      return net::Envelope{static_cast<uint64_t>(s.origin_req), s.peer,
-                           sessions[s.parent].peer,
-                           net::MessageKind::kResponse, 0,
-                           TraceFor(s.span)};
-    }
-
-    net::Envelope AnswerEnvelope(size_t idx) const {
-      const PendingAnswer& a = answers[idx];
-      return net::Envelope{static_cast<uint64_t>(idx), a.from,
-                           request->initiator, net::MessageKind::kAnswer,
-                           a.attempt, TraceFor(a.span)};
-    }
-
-    void TransmitQuery(int64_t id) {
-      PendingRequest& rq = requests[id];
-      rq.attempt += 1;
-      result.stats.messages += 1;
-      result.stats.tuples_shipped += rq.tuples;
-      result.stats.bytes_on_wire += rq.frame.size();
-      traffic.bytes_query += rq.frame.size();
-      traffic.frames += 1;
-      if (profiler() != nullptr) {
-        profiler()->OnMessage(rq.from, rq.target, rq.tuples, rq.frame.size());
-        if (rq.attempt > 1) profiler()->OnRetransmission(rq.from);
+    /// One (re)transmission of the in-flight message `env.id` of
+    /// `channel`: charged at the sender like any message, journaled, and —
+    /// on an imperfect network — covered by the channel's timer.
+    template <typename Channel, typename OnFire>
+    void Ship(Channel& channel, net::Envelope env, uint64_t tuples,
+              uint64_t* traffic_bytes, OnFire on_timeout) {
+      auto& e = *channel.Find(env.id);
+      std::vector<uint8_t> bytes = channel.NextCopy(e);
+      env.attempt = e.attempt;
+      Charge(traffic_bytes, env.from, env.to, tuples, bytes.size());
+      if (profiler() != nullptr && e.attempt > 1) {
+        profiler()->OnRetransmission(env.from);
       }
-      const net::Envelope env = QueryEnvelope(id);
-      JournalFrame(rq.attempt > 1 ? obs::JournalEventKind::kRetransmit
-                                  : obs::JournalEventKind::kFrameSend,
-                   rq.from, env, rq.frame.size());
-      SendDatagram(env, std::vector<uint8_t>(rq.frame));
-      if (ft) {
-        requests[id].timer =
-            timers.Arm(requests[id].timeout, [this, id] { OnTimeout(id); });
-      }
+      JournalFrame(e.attempt > 1 ? obs::JournalEventKind::kRetransmit
+                                 : obs::JournalEventKind::kFrameSend,
+                   env.from, env, bytes.size());
+      self->transport()->Send(env, std::move(bytes));
+      if (ft) channel.Arm(env.id, std::move(on_timeout));
     }
 
     void DeliverQuery(int64_t id, const std::vector<uint8_t>& datagram) {
-      PendingRequest& rq = requests[id];
+      const Route rt = routes[id];
       if (ft) {
-        net::DedupWindow& window = DedupOf(rq.target);
         if (const int64_t* session =
-                window.Lookup(static_cast<uint64_t>(id))) {
-          // Retransmission or network duplicate of a query we have seen:
-          // answer from the reply cache, or ack that we are still on it.
+                DedupOf(rt.target).Lookup(static_cast<uint64_t>(id))) {
+          // A retransmission or duplicate: replay the cached reply, or ack
+          // that the session is still running.
           result.coverage.duplicates_suppressed += 1;
           const int s = static_cast<int>(*session);
-          if (sessions[s].finished) {
-            ResendResponse(s);
+          if (sessions[s].proc.finished()) {
+            SendResponse(s, /*retransmit=*/true);
           } else {
             SendAck(id, s);
           }
           return;
         }
       }
-      wire::Reader r(datagram);
       net::Envelope env;
       Query q{};
       GlobalState g{};
       Area area{};
       int64_t hops = 0;
-      const wire::FrameError ferr = net::DecodeEnvelopeFrameEx(&r, &env);
-      const bool ok = ferr == wire::FrameError::kOk &&
-                      env.kind == net::MessageKind::kQuery &&
-                      codec.DecodeQueryPayload(&r, &q, &g, &area, &hops) &&
-                      r.ok() && r.remaining() == 0;
-      if (!ok) {
-        // Dropped: the requester's timer retransmits the byte-identical
-        // frame. The id must NOT enter the dedup window, or the (equally
-        // corrupted-looking to us, but possibly clean) retransmission
-        // would be wrongly suppressed.
-        RejectFrame(ferr);
+      // A rejected query stays out of the dedup window, so the requester's
+      // (possibly clean) retransmission is not suppressed.
+      if (!DecodeFrame(datagram, net::MessageKind::kQuery, &env,
+                       [&](wire::Reader* r) {
+                         return codec.DecodeQueryPayload(r, &q, &g, &area,
+                                                         &hops);
+                       })) {
         return;
       }
-      JournalFrame(obs::JournalEventKind::kFrameRecv, rq.target, env,
+      JournalFrame(obs::JournalEventKind::kFrameRecv, rt.target, env,
                    datagram.size());
       if (ft) {
-        DedupOf(rq.target).Insert(static_cast<uint64_t>(id),
+        DedupOf(rt.target).Insert(static_cast<uint64_t>(id),
                                   static_cast<int64_t>(sessions.size()));
       }
-      // The receiver's span parents off whatever the frame header carried.
-      StartSession(rq.target, std::move(q), std::move(g), std::move(area),
-                   static_cast<int>(hops), rq.requester, id,
-                   env.trace.parent_span);
+      StartSession(rt.target, std::move(q), std::move(g), area,
+                   static_cast<int>(hops), id, env.trace.parent_span);
     }
 
-    void OnTimeout(int64_t id) {
-      PendingRequest& rq = requests[id];
-      if (rq.resolved) return;
+    void OnTimeout(uint64_t id) {
+      auto* e = forwards.Find(id);
+      if (e == nullptr) return;
+      const Route& rt = routes[id];
       // A crashed requester stops timing out; its own parent handles it.
-      if (fault.CrashedAt(rq.from, sim.now())) return;
+      if (fault.CrashedAt(rt.from, sim.now())) return;
       result.coverage.timeouts += 1;
-      const uint32_t span = sessions[rq.requester].span;
-      if (span != obs::kNoSpan) self->tracer_->span(span).timeouts += 1;
-      if (rq.strikes >= retry().max_retries) {
+      obs::Span* sp = SpanOf(sessions[rt.requester].span);
+      if (sp != nullptr) sp->timeouts += 1;
+      if (!forwards.Strike(*e)) {
         GiveUp(id);
         return;
       }
-      rq.strikes += 1;
-      rq.timeout = BackedOffTimeout(rq.timeout, retry());
       result.coverage.retries += 1;
-      if (span != obs::kNoSpan) self->tracer_->span(span).retries += 1;
+      if (sp != nullptr) sp->retries += 1;
       TransmitQuery(id);
     }
 
     /// The retry budget for this link is spent: degrade gracefully.
-    void GiveUp(int64_t id) {
-      PendingRequest& rq = requests[id];
-      rq.resolved = true;
-      rq.failed = true;
+    void GiveUp(uint64_t id) {
+      Route& rt = routes[id];
+      rt.resolved = rt.failed = true;
+      forwards.Resolve(id);
       result.coverage.links_unresolved += 1;
-      NoteUnreachable(rq.target);
-      if (fault.CrashedAt(rq.target, sim.now())) NoteCrashed(rq.target);
-      ChildFailed(rq.requester);
+      NoteUnreachable(rt.target);
+      if (fault.CrashedAt(rt.target, sim.now())) NoteCrashed(rt.target);
+      const int requester = rt.requester;
+      Drive(requester, sessions[requester].proc.peer(),
+            [](Proc& p) { return p.OnChildFailed(); });
     }
 
-    /// Progress ack for a request whose still-running session is
-    /// `session_id` (a bare header-only frame; charged like any other
-    /// message).
+    /// Progress ack for a request whose session `session_id` still runs
+    /// (a bare header-only frame, charged like any other message).
     void SendAck(int64_t id, int session_id) {
-      PendingRequest& rq = requests[id];
+      const Route& rt = routes[id];
       result.coverage.acks += 1;
-      result.stats.messages += 1;
-      const net::Envelope env{static_cast<uint64_t>(id), rq.target, rq.from,
+      const net::Envelope env{static_cast<uint64_t>(id), rt.target, rt.from,
                               net::MessageKind::kAck, 0,
                               TraceFor(sessions[session_id].span)};
       wire::Buffer buf;
       const size_t bytes = codec.EncodeAckMessage(env, &buf);
-      result.stats.bytes_on_wire += bytes;
-      traffic.bytes_ack += bytes;
-      traffic.frames += 1;
-      if (profiler() != nullptr) {
-        profiler()->OnMessage(rq.target, rq.from, 0, bytes);
-      }
-      JournalFrame(obs::JournalEventKind::kFrameSend, rq.target, env, bytes);
-      SendDatagram(env, buf.Take());
+      Charge(&traffic.bytes_ack, rt.target, rt.from, 0, bytes);
+      JournalFrame(obs::JournalEventKind::kFrameSend, rt.target, env, bytes);
+      self->transport()->Send(env, buf.Take());
     }
 
-    /// A progress ack arrived at the requester: restore its patience. An
-    /// ack is pure optimization — a corrupted one is silently dropped (no
-    /// retransmission; the next timeout re-asks the question anyway).
+    /// A progress ack restores the requester's patience. A corrupted one
+    /// is silently dropped: the next timeout re-asks anyway.
     void DeliverAck(int64_t id, const std::vector<uint8_t>& datagram) {
-      wire::Reader r(datagram);
       net::Envelope ack;
-      const wire::FrameError ferr = net::DecodeEnvelopeFrameEx(&r, &ack);
-      if (ferr != wire::FrameError::kOk ||
-          ack.kind != net::MessageKind::kAck || r.remaining() != 0) {
-        RejectFrame(ferr);  // corrupted ack: silently dropped
+      if (!DecodeFrame(datagram, net::MessageKind::kAck, &ack,
+                       [](wire::Reader*) { return true; })) {
         return;
       }
-      PendingRequest& pending = requests[id];
-      JournalFrame(obs::JournalEventKind::kFrameRecv, pending.from, ack,
+      JournalFrame(obs::JournalEventKind::kFrameRecv, routes[id].from, ack,
                    datagram.size());
-      if (!pending.resolved) pending.strikes = 0;
+      if (auto* e = forwards.Find(id)) forwards.Ack(*e);
     }
 
     // --- responses --------------------------------------------------------
 
-    /// Ships session `id`'s encoded reply-cache datagram to its requester.
-    /// Response messages are charged one per state frame, and only at slow
-    /// requesters (see FinishSession); retransmissions are charged again.
-    /// A fast requester's convergecast bundle still crosses the transport
-    /// (bytes exist on the wire) but stays uncharged, mirroring the
-    /// message accounting.
-    void SendResponseWire(int id, bool charge_retry) {
-      Session& s = sessions[id];
-      const int parent = s.parent;
-      if (!sessions[parent].fast) {
-        result.stats.messages += s.response_parts.size();
-        for (const auto& part : s.response_parts) {
-          result.stats.tuples_shipped += part.tuples;
-          result.stats.bytes_on_wire += part.bytes;
-          traffic.bytes_response += part.bytes;
-          traffic.frames += 1;
-          if (profiler() != nullptr) {
-            profiler()->OnMessage(s.peer, sessions[parent].peer, part.tuples,
-                                  part.bytes);
-          }
-        }
-      }
-      if (charge_retry) {
-        result.coverage.retries += 1;
-        if (profiler() != nullptr) profiler()->OnRetransmission(s.peer);
-      }
-      const net::Envelope env = ResponseEnvelope(id);
-      JournalFrame(charge_retry ? obs::JournalEventKind::kRetransmit
-                                : obs::JournalEventKind::kFrameSend,
-                   s.peer, env, s.response_frame.size());
-      SendDatagram(env, std::vector<uint8_t>(s.response_frame));
+    net::Envelope ResponseEnvelope(int id) const {
+      const Session& s = sessions[id];
+      return net::Envelope{static_cast<uint64_t>(s.origin_req), s.proc.peer(),
+                           routes[s.origin_req].from,
+                           net::MessageKind::kResponse, 0, TraceFor(s.span)};
     }
 
-    void SendResponse(int id) { SendResponseWire(id, /*charge_retry=*/false); }
-    void ResendResponse(int id) { SendResponseWire(id, /*charge_retry=*/true); }
+    /// Ships session `id`'s reply-cache datagram to its requester. Charged
+    /// one message per state frame, and only at slow requesters (see
+    /// FinishSession): a fast requester's convergecast bundle crosses the
+    /// transport uncharged. Retransmissions are charged again.
+    void SendResponse(int id, bool retransmit) {
+      const Session& s = sessions[id];
+      const Session& parent = sessions[routes[s.origin_req].requester];
+      if (!parent.proc.fast()) {
+        for (const auto& part : s.parts) {
+          Charge(&traffic.bytes_response, s.proc.peer(), parent.proc.peer(),
+                 part.tuples, part.bytes);
+        }
+      }
+      if (retransmit) {
+        result.coverage.retries += 1;
+        if (profiler() != nullptr) profiler()->OnRetransmission(s.proc.peer());
+      }
+      const net::Envelope env = ResponseEnvelope(id);
+      JournalFrame(retransmit ? obs::JournalEventKind::kRetransmit
+                              : obs::JournalEventKind::kFrameSend,
+                   s.proc.peer(), env, s.response_frame.size());
+      self->transport()->Send(env, std::vector<uint8_t>(s.response_frame));
+    }
 
     void DeliverResponse(int64_t req_id, const std::vector<uint8_t>& datagram) {
       if (req_id < 0) return;
-      PendingRequest& rq = requests[req_id];
-      if (rq.resolved) {
-        // Duplicate of a consumed response, or a response arriving after
-        // the requester gave up on the link.
-        if (rq.failed) {
+      Route& rt = routes[req_id];
+      if (rt.resolved) {
+        // A duplicate of a consumed response, or one arriving after the
+        // requester gave up on the link.
+        if (rt.failed) {
           result.coverage.late_responses += 1;
         } else {
           result.coverage.duplicates_suppressed += 1;
         }
         return;
       }
-      // Walk the datagram's back-to-back state frames.
-      std::vector<LocalState> bundle;
-      wire::Reader r(datagram);
-      wire::FrameError ferr = datagram.empty() ? wire::FrameError::kTruncated
-                                               : wire::FrameError::kOk;
-      bool ok = !datagram.empty();
-      net::Envelope env;  // the first frame's header, for the journal
-      while (ok && r.remaining() > 0) {
-        wire::FrameHeader h;
-        const wire::FrameError e = wire::DecodeFrameHeaderEx(&r, &h);
-        if (e != wire::FrameError::kOk) {
-          ok = false;
-          ferr = e;
-          break;
-        }
-        if (h.tag != static_cast<uint8_t>(net::MessageKind::kResponse) ||
-            h.id != static_cast<uint64_t>(req_id)) {
-          ok = false;
-          break;
-        }
-        const size_t frame_end = r.position() + wire::FramePayloadSize(h);
-        LocalState st{};
-        if (!codec.DecodeResponsePayload(&r, &st) || !r.ok() ||
-            r.position() != frame_end) {
-          ok = false;
-          break;
-        }
-        if (bundle.empty()) {
-          env.id = h.id;
-          env.from = h.from;
-          env.to = h.to;
-          env.kind = net::MessageKind::kResponse;
-          env.trace = h.trace;
-        }
-        bundle.push_back(std::move(st));
-      }
-      if (!ok) {
-        // Dropped: the requester times out, retransmits its query, and the
-        // finished callee reships the cached response bytes.
-        RejectFrame(ferr);
+      typename WireCodec<Overlay, Policy>::Reply reply;
+      if (!codec.DecodeReply(datagram, static_cast<uint64_t>(req_id),
+                             /*allow_partial=*/false, &reply)) {
+        // Dropped: the requester times out and retransmits, and the
+        // finished callee replays its cached response bytes.
+        RejectFrame(reply.error);
         return;
       }
-      JournalFrame(obs::JournalEventKind::kFrameRecv, rq.from, env,
+      const wire::FrameHeader& h = reply.first;
+      JournalFrame(obs::JournalEventKind::kFrameRecv, rt.from,
+                   net::Envelope{h.id, h.from, h.to,
+                                 net::MessageKind::kResponse, 0, h.trace},
                    datagram.size());
-      rq.resolved = true;
-      if (ft) timers.Cancel(rq.timer);
-      OnResponse(rq.requester, std::move(bundle));
+      rt.resolved = true;
+      forwards.Resolve(static_cast<uint64_t>(req_id));
+      OnResponse(rt.requester, std::move(reply.states));
     }
 
     // --- answers ----------------------------------------------------------
 
-    /// Answer deliveries ride a (bounded-retry) reliable channel: the
-    /// sender retransmits lost or corrupted answers after the retry
-    /// timeout until the budget is spent, then the loss is recorded in
-    /// coverage and the result is flagged partial.
     void SendAnswer(PeerId from, Answer&& payload, size_t tuples,
                     uint32_t span) {
-      const size_t idx = answers.size();
-      answers.push_back(PendingAnswer{});
-      PendingAnswer& a = answers[idx];
-      a.from = from;
-      a.tuples = tuples;
-      a.span = span;
-      const net::Envelope env{static_cast<uint64_t>(idx), from,
-                              request->initiator, net::MessageKind::kAnswer,
-                              0, TraceFor(span)};
+      const uint64_t id = next_answer++;
+      const net::Envelope env{id, from, request->initiator,
+                              net::MessageKind::kAnswer, 0, TraceFor(span)};
       wire::Buffer buf;
       codec.EncodeAnswerMessage(env, payload, &buf);
-      a.frame = buf.Take();
-      ++answers_outstanding;
-      TransmitAnswer(idx);
+      answers.Add(id, AnswerMeta{from, tuples, span}, buf.Take());
+      TransmitAnswer(id);
     }
 
-    void TransmitAnswer(size_t idx) {
-      PendingAnswer& a = answers[idx];
-      a.attempt += 1;
-      result.stats.messages += 1;
-      result.stats.tuples_shipped += a.tuples;
-      result.stats.bytes_on_wire += a.frame.size();
-      traffic.bytes_answer += a.frame.size();
-      traffic.frames += 1;
-      if (profiler() != nullptr) {
-        profiler()->OnMessage(a.from, request->initiator, a.tuples,
-                              a.frame.size());
-        if (a.attempt > 1) profiler()->OnRetransmission(a.from);
-      }
-      const net::Envelope env = AnswerEnvelope(idx);
-      JournalFrame(a.attempt > 1 ? obs::JournalEventKind::kRetransmit
-                                 : obs::JournalEventKind::kFrameSend,
-                   a.from, env, a.frame.size());
-      SendDatagram(env, std::vector<uint8_t>(a.frame));
-      if (ft) {
-        // The fire-and-forget wire gives the sender no failure signal, so
-        // every transmission is covered by a watchdog: delivery cancels
-        // it, loss / swallowing / receiver-side rejection lets it fire.
-        answers[idx].timer = timers.Arm(
-            retry().timeout, [this, idx] { OnAnswerTimeout(idx); });
-      }
+    void TransmitAnswer(uint64_t id) {
+      // Delivery cancels the watchdog; loss, swallowing or a rejection at
+      // the initiator lets it fire.
+      const AnswerMeta& a = answers.Find(id)->meta;
+      Ship(answers, {id, a.from, request->initiator, net::MessageKind::kAnswer,
+                     0, TraceFor(a.span)},
+           a.tuples, &traffic.bytes_answer, [this, id] { OnAnswerTimeout(id); });
     }
 
-    /// The answer datagram came back from the transport: run it through
-    /// the simulated network towards the initiator. Same fault-draw
-    /// order as Transmit (drop, jitter, duplicate) — kept separate
-    /// because a dropped answer needs no requester-side bookkeeping, the
-    /// sender's watchdog recovers it.
-    void OnAnswerWire(const net::Envelope& env, std::vector<uint8_t> bytes) {
-      const size_t idx = static_cast<size_t>(env.id);
-      const double base = self->latency_(env.from, env.to);
-      if (!ft) {
-        // Answer delivery rides the clock but needs no handler state.
-        sim.Schedule(base, [this, idx, datagram = std::move(bytes)] {
-          DeliverAnswer(idx, datagram);
-        });
-        return;
-      }
-      if (fault.DropMessage()) {
-        result.coverage.messages_lost += 1;
-        JournalFrame(obs::JournalEventKind::kDrop, env.from, env, 0);
-        return;  // the sender's watchdog retransmits
-      }
-      const double d = fault.Jitter(base);
-      if (fault.DuplicateMessage()) {
-        result.coverage.messages_duplicated += 1;
-        ScheduleDelivery(env, env.to, fault.Jitter(base),
-                         [this, idx, datagram = bytes] {
-                           DeliverAnswer(idx, datagram);
-                         });
-      }
-      ScheduleDelivery(env, env.to, d,
-                       [this, idx, datagram = std::move(bytes)] {
-                         DeliverAnswer(idx, datagram);
-                       });
-    }
-
-    /// The watchdog fired with no delivery: the transmission failed (loss
-    /// in transit, swallowed by the transport, or the initiator rejected
-    /// corrupted bytes). Retransmit, or spend the budget and record the
-    /// loss.
-    void OnAnswerTimeout(size_t idx) {
-      PendingAnswer& a = answers[idx];
-      if (a.settled) return;
-      if (a.attempt > retry().max_retries) {
+    /// The watchdog fired with no delivery: retransmit, or spend the
+    /// budget and record the loss.
+    void OnAnswerTimeout(uint64_t id) {
+      auto* a = answers.Find(id);
+      if (a == nullptr) return;
+      if (!answers.Strike(*a)) {
         result.coverage.answers_lost += 1;
-        SettleAnswer(idx);
+        SettleAnswer(id);
         return;
       }
       result.coverage.retries += 1;
-      if (fault.CrashedAt(a.from, sim.now())) {
+      if (fault.CrashedAt(a->meta.from, sim.now())) {
         // The sender died holding the only copy.
         result.coverage.answers_lost += 1;
-        SettleAnswer(idx);
+        SettleAnswer(id);
         return;
       }
-      TransmitAnswer(idx);
+      TransmitAnswer(id);
     }
 
-    void DeliverAnswer(size_t idx, const std::vector<uint8_t>& datagram) {
-      PendingAnswer& a = answers[idx];
-      if (a.settled) {
+    void DeliverAnswer(int64_t id, const std::vector<uint8_t>& datagram) {
+      if (answers.Find(static_cast<uint64_t>(id)) == nullptr) {
         result.coverage.duplicates_suppressed += 1;
         return;
       }
-      wire::Reader r(datagram);
       net::Envelope env;
       Answer payload{};
-      const wire::FrameError ferr = net::DecodeEnvelopeFrameEx(&r, &env);
-      const bool ok = ferr == wire::FrameError::kOk &&
-                      env.kind == net::MessageKind::kAnswer &&
-                      codec.DecodeAnswerPayload(&r, &payload) && r.ok() &&
-                      r.remaining() == 0;
-      if (!ok) {
-        // The initiator saw garbage; the elided nack of the reliable
-        // answer channel becomes a sender-side watchdog retransmission.
-        RejectFrame(ferr);
+      // On a rejection the elided nack becomes a watchdog retransmission.
+      if (!DecodeFrame(datagram, net::MessageKind::kAnswer, &env,
+                       [&](wire::Reader* r) {
+                         return codec.DecodeAnswerPayload(r, &payload);
+                       })) {
         return;
       }
       JournalFrame(obs::JournalEventKind::kFrameRecv, request->initiator,
@@ -1040,50 +779,40 @@ class AsyncEngine {
       policy().MergeAnswer(&result.answer, std::move(payload),
                            request->query);
       last_answer_time = std::max(last_answer_time, sim.now());
-      if (ft) timers.Cancel(a.timer);
-      SettleAnswer(idx);
+      SettleAnswer(static_cast<uint64_t>(id));
     }
 
-    void SettleAnswer(size_t idx) {
-      answers[idx].settled = true;
-      --answers_outstanding;
+    void SettleAnswer(uint64_t id) {
+      answers.Resolve(id);
       MaybeStop();
     }
 
     // --- termination ------------------------------------------------------
 
-    /// Once the initiator's session closed and every answer settled, the
-    /// query is over; surviving events are lapsed retry timers and
-    /// convergecast bookkeeping of abandoned subtrees.
+    /// Once the root session closed and every answer settled the query is
+    /// over; surviving events are lapsed timers and convergecast
+    /// bookkeeping of abandoned subtrees.
     void MaybeStop() {
-      if (root_done && answers_outstanding == 0) sim.Stop();
+      if (root_done && answers.size() == 0) sim.Stop();
     }
 
-    /// The request deadline fired before the root closed: every pending
-    /// forward is declared unresolved and the initiator returns what it
-    /// folded so far.
+    /// The deadline fired first: every pending forward is declared
+    /// unresolved and the initiator returns what it folded so far.
     void OnDeadline() {
-      if (root_done && answers_outstanding == 0) return;
+      if (root_done && answers.size() == 0) return;
       deadline_hit = true;
-      for (size_t i = 0; i < requests.size(); ++i) {
-        PendingRequest& rq = requests[i];
-        if (rq.resolved) continue;
-        rq.resolved = true;
-        rq.failed = true;
+      for (Route& rt : routes) {
+        if (rt.resolved) continue;
+        rt.resolved = rt.failed = true;
         result.coverage.links_unresolved += 1;
-        NoteUnreachable(rq.target);
+        NoteUnreachable(rt.target);
       }
       sim.Stop();
     }
 
     net::DedupWindow& DedupOf(PeerId peer) {
-      auto it = query_dedup.find(peer);
-      if (it == query_dedup.end()) {
-        it = query_dedup
-                 .emplace(peer, net::DedupWindow(retry().dedup_window))
-                 .first;
-      }
-      return it->second;
+      return query_dedup.try_emplace(peer, request->retry.dedup_window)
+          .first->second;
     }
   };
 
@@ -1091,7 +820,7 @@ class AsyncEngine {
   Policy policy_;
   LatencyModel latency_;
   std::function<void(PeerId)> visit_observer_;
-  std::function<double(PeerId)> link_bias_;
+  LinkBias link_bias_;
   obs::Tracer* tracer_ = nullptr;
   obs::JournalSet* journal_ = nullptr;
   obs::Profiler* profiler_ = nullptr;

@@ -20,6 +20,17 @@ namespace ripple::store {
 class FlatStore {
  public:
   FlatStore() = default;
+  // Copies re-point the column pointer table at their own columns; moves
+  // keep the column buffers, so the moved table stays valid.
+  FlatStore(const FlatStore& o) : ids_(o.ids_), cols_(o.cols_) { SyncPtrs(); }
+  FlatStore& operator=(const FlatStore& o) {
+    ids_ = o.ids_;
+    cols_ = o.cols_;
+    SyncPtrs();
+    return *this;
+  }
+  FlatStore(FlatStore&&) noexcept = default;
+  FlatStore& operator=(FlatStore&&) noexcept = default;
 
   size_t size() const { return ids_.size(); }
   bool empty() const { return ids_.empty(); }
@@ -40,12 +51,9 @@ class FlatStore {
   }
 
   /// All d column base pointers, kernel-call shaped. Valid until the next
-  /// mutation.
-  const double* const* cols() const {
-    col_ptrs_.resize(cols_.size());
-    for (size_t c = 0; c < cols_.size(); ++c) col_ptrs_[c] = cols_[c].data();
-    return col_ptrs_.data();
-  }
+  /// mutation. A pure read (every mutation re-syncs the table), so
+  /// concurrent readers may call it.
+  const double* const* cols() const { return col_ptrs_.data(); }
 
   Point PointAt(size_t i) const {
     RIPPLE_DCHECK(i < ids_.size());
@@ -59,6 +67,7 @@ class FlatStore {
   void Reserve(size_t n) {
     ids_.reserve(n);
     for (auto& col : cols_) col.reserve(n);
+    SyncPtrs();
   }
 
   void Append(const Tuple& t) {
@@ -66,7 +75,10 @@ class FlatStore {
     if (empty() && d != dims()) Reshape(d);
     RIPPLE_DCHECK(d == dims());
     ids_.push_back(t.id);
-    for (int c = 0; c < d; ++c) cols_[c].push_back(t.key[c]);
+    for (int c = 0; c < d; ++c) {
+      cols_[c].push_back(t.key[c]);
+      col_ptrs_[c] = cols_[c].data();
+    }
   }
 
   void AppendAll(const TupleVec& ts) {
@@ -84,6 +96,7 @@ class FlatStore {
       cols_[c].insert(cols_[c].end(), other.cols_[c].begin(),
                       other.cols_[c].end());
     }
+    SyncPtrs();
   }
 
   /// Drops all rows. Dimensionality and column capacity are kept; an
@@ -104,6 +117,7 @@ class FlatStore {
       out.cols_[c].reserve(order.size());
       for (uint32_t i : order) out.cols_[c].push_back(cols_[c][i]);
     }
+    out.SyncPtrs();
     return out;
   }
 
@@ -142,11 +156,17 @@ class FlatStore {
     RIPPLE_CHECK(d >= 0 && d <= kMaxDims);
     RIPPLE_DCHECK(empty());
     cols_.assign(static_cast<size_t>(d), {});
+    SyncPtrs();
+  }
+
+  void SyncPtrs() {
+    col_ptrs_.resize(cols_.size());
+    for (size_t c = 0; c < cols_.size(); ++c) col_ptrs_[c] = cols_[c].data();
   }
 
   std::vector<uint64_t> ids_;
   std::vector<std::vector<double>> cols_;  // cols_[c][row], dims() columns
-  mutable std::vector<const double*> col_ptrs_;  // scratch for cols()
+  std::vector<const double*> col_ptrs_;    // cols_[c].data(), for cols()
 };
 
 }  // namespace ripple::store

@@ -8,6 +8,42 @@
 
 namespace ripple {
 
+namespace {
+
+/// Runs `build` once per mutation epoch: readers that find `fresh` set
+/// skip the lock; the first stale reader builds under `mu` and publishes.
+template <typename Build>
+void BuildOnce(std::atomic<bool>* fresh, std::mutex* mu, Build&& build) {
+  if (fresh->load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(*mu);
+  if (fresh->load(std::memory_order_relaxed)) return;
+  build();
+  fresh->store(true, std::memory_order_release);
+}
+
+}  // namespace
+
+LocalStore& LocalStore::operator=(const LocalStore& other) {
+  if (this == &other) return *this;
+  flat_ = other.flat_;
+  index_ = other.index_;
+  sorted_ids_ = other.sorted_ids_;
+  index_fresh_.store(other.index_fresh_.load());
+  ids_fresh_.store(other.ids_fresh_.load());
+  return *this;
+}
+
+LocalStore& LocalStore::operator=(LocalStore&& other) noexcept {
+  if (this == &other) return *this;
+  flat_ = std::move(other.flat_);
+  index_ = std::move(other.index_);
+  sorted_ids_ = std::move(other.sorted_ids_);
+  index_fresh_.store(other.index_fresh_.load());
+  ids_fresh_.store(other.ids_fresh_.load());
+  other.MarkMutated();
+  return *this;
+}
+
 void LocalStore::Add(const Tuple& t) {
   flat_.Append(t);
   MarkMutated();
@@ -29,11 +65,10 @@ void LocalStore::Clear() {
 }
 
 bool LocalStore::ContainsId(uint64_t id) const {
-  if (ids_stale_) {
+  BuildOnce(&ids_fresh_, &derive_mu_, [this] {
     sorted_ids_ = flat_.ids();
     std::sort(sorted_ids_.begin(), sorted_ids_.end());
-    ids_stale_ = false;
-  }
+  });
   return std::binary_search(sorted_ids_.begin(), sorted_ids_.end(), id);
 }
 
@@ -50,10 +85,7 @@ TupleVec LocalStore::ExtractOutside(const Rect& zone, const Rect& domain) {
 
 const KdIndex* LocalStore::Index() const {
   if (flat_.size() < kIndexThreshold) return nullptr;
-  if (index_stale_) {
-    index_.Build(flat_);
-    index_stale_ = false;
-  }
+  BuildOnce(&index_fresh_, &derive_mu_, [this] { index_.Build(flat_); });
   return &index_;
 }
 

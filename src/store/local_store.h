@@ -1,8 +1,10 @@
 #ifndef RIPPLE_STORE_LOCAL_STORE_H_
 #define RIPPLE_STORE_LOCAL_STORE_H_
 
+#include <atomic>
 #include <functional>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -22,9 +24,16 @@ namespace ripple {
 /// bounded top-k queue instead of walking Tuple records. Mutations
 /// (tuples arriving or handed off during zone splits/merges) invalidate a
 /// lazily rebuilt k-d index; small stores are scanned directly.
+///
+/// Threading: const queries may run concurrently (executor workers share
+/// peers); mutations, copies and moves must not overlap any other access.
 class LocalStore {
  public:
   LocalStore() = default;
+  LocalStore(const LocalStore& other) { *this = other; }
+  LocalStore(LocalStore&& other) noexcept { *this = std::move(other); }
+  LocalStore& operator=(const LocalStore& other);
+  LocalStore& operator=(LocalStore&& other) noexcept;
 
   size_t size() const { return flat_.size(); }
   bool empty() const { return flat_.empty(); }
@@ -91,16 +100,23 @@ class LocalStore {
   /// Rebuilds the k-d index if stale; returns it (nullptr for tiny stores).
   const KdIndex* Index() const;
 
+  // Relaxed: mutations never overlap readers (see the class comment), so
+  // whatever hands the store to readers orders these stores too.
   void MarkMutated() {
-    index_stale_ = true;
-    ids_stale_ = true;
+    index_fresh_.store(false, std::memory_order_relaxed);
+    ids_fresh_.store(false, std::memory_order_relaxed);
   }
 
   store::FlatStore flat_;
+  // Derived lookup structures, rebuilt on first use after a mutation by
+  // concurrent const readers: a double-checked build whose fast path is
+  // an acquire load of the fresh flag, and whose rebuild runs under
+  // `derive_mu_` and publishes with a release store.
+  mutable std::mutex derive_mu_;
   mutable KdIndex index_;
-  mutable bool index_stale_ = true;
+  mutable std::atomic<bool> index_fresh_{false};
   mutable std::vector<uint64_t> sorted_ids_;
-  mutable bool ids_stale_ = true;
+  mutable std::atomic<bool> ids_fresh_{false};
 
   /// Below this many tuples a plain scan beats the index.
   static constexpr size_t kIndexThreshold = 32;

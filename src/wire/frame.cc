@@ -30,7 +30,7 @@ FrameError DecodeFrameHeaderEx(Reader* r, FrameHeader* out) {
   out->from = r->Fixed32();
   out->to = r->Fixed32();
   if (!r->ok()) return FrameError::kTruncated;
-  if (out->version < kMinWireVersion || out->version > kWireVersion) {
+  if (out->version != kWireVersion) {
     r->Fail();
     return FrameError::kBadVersion;
   }
@@ -38,14 +38,11 @@ FrameError DecodeFrameHeaderEx(Reader* r, FrameHeader* out) {
     r->Fail();
     return FrameError::kBadTag;
   }
-  out->trace = TraceContext{};
-  if (out->version >= 2) {
-    out->trace.flags = r->U8();
-    out->trace.trace_id = r->Fixed64();
-    out->trace.parent_span = r->Fixed32();
-    if (!r->ok()) return FrameError::kTruncated;
-  }
-  if (out->length < FrameHeaderTailSize(out->version) ||
+  out->trace.flags = r->U8();
+  out->trace.trace_id = r->Fixed64();
+  out->trace.parent_span = r->Fixed32();
+  if (!r->ok()) return FrameError::kTruncated;
+  if (out->length < kFrameHeaderTailSize ||
       FramePayloadSize(*out) > r->remaining()) {
     r->Fail();
     return FrameError::kTruncated;

@@ -8,14 +8,10 @@
 
 namespace ripple::wire {
 
-/// Schema version stamped into every frame. Bump on any incompatible
-/// change to a payload format (docs/WIRE.md is the spec). Version 2 added
-/// the trace-context tail; v1 frames are still decodable (the trace
-/// context decodes as empty), everything else is rejected.
+/// Schema version stamped into every frame, and the only one the decoder
+/// accepts. Bump on any incompatible change to a payload format
+/// (docs/WIRE.md is the spec). Version 2 added the trace-context tail.
 inline constexpr uint8_t kWireVersion = 2;
-
-/// Oldest version the decoder still accepts.
-inline constexpr uint8_t kMinWireVersion = 1;
 
 /// Highest message-type tag a frame may carry. The values mirror
 /// net::MessageKind (query=0, response=1, ack=2, answer=3, plus the
@@ -36,8 +32,8 @@ inline constexpr uint32_t kNoParentSpan = 0xffffffffu;
 /// honors it, so a trace is either complete or absent, never partial.
 inline constexpr uint8_t kFrameFlagSampled = 0x01;
 
-/// Trace context carried by every v2 frame. A v1 frame decodes with the
-/// defaults below: no trace, no parent, not sampled.
+/// Trace context carried by every frame; the defaults mean no trace, no
+/// parent, not sampled.
 struct TraceContext {
   uint64_t trace_id = 0;               // 0 = unsampled / no trace
   uint32_t parent_span = kNoParentSpan;
@@ -49,7 +45,7 @@ struct TraceContext {
 /// Fixed frame header, in wire order:
 ///
 ///   [u32 length][u8 version][u8 tag][u64 msg id][u32 from][u32 to]
-///   [u8 flags][u64 trace id][u32 parent span]          (v2 tail)
+///   [u8 flags][u64 trace id][u32 parent span]
 ///
 /// `length` counts every byte after the length field itself (header tail +
 /// payload), so a datagram of concatenated frames can be walked without
@@ -57,9 +53,11 @@ struct TraceContext {
 /// fixed-width on purpose: frame sizes must not depend on how an engine
 /// assigns message ids or span ids, or the two engines' byte accounting
 /// would diverge.
-inline constexpr size_t kFrameHeaderSizeV1 = 4 + 1 + 1 + 8 + 4 + 4;
-inline constexpr size_t kTraceTailSize = 1 + 8 + 4;
-inline constexpr size_t kFrameHeaderSize = kFrameHeaderSizeV1 + kTraceTailSize;
+inline constexpr size_t kFrameHeaderSize =
+    4 + 1 + 1 + 8 + 4 + 4 + 1 + 8 + 4;
+/// Header bytes after the length field (everything `length` counts that
+/// is not payload).
+inline constexpr size_t kFrameHeaderTailSize = kFrameHeaderSize - 4;
 
 struct FrameHeader {
   uint32_t length = 0;  // bytes after the length field
@@ -68,7 +66,7 @@ struct FrameHeader {
   uint64_t id = 0;
   uint32_t from = 0;
   uint32_t to = 0;
-  TraceContext trace;   // empty when version == 1
+  TraceContext trace;
 };
 
 /// Why a frame header failed to decode. kTruncated covers every "not
@@ -94,8 +92,8 @@ size_t BeginFrame(Buffer* buf, uint8_t tag, uint64_t id, uint32_t from,
 void EndFrame(Buffer* buf, size_t frame_start);
 
 /// Reads and validates one frame header: enough bytes for the fixed
-/// header, an accepted version (v1 decodes with an empty trace context),
-/// a known tag, and a length the buffer actually holds. On success the
+/// header, the current version, a known tag, and a length the buffer
+/// actually holds. On success the
 /// reader is positioned at the payload and the declared payload is
 /// guaranteed present; on failure the reader is failed and the reason is
 /// returned.
@@ -106,15 +104,9 @@ inline bool DecodeFrameHeader(Reader* r, FrameHeader* out) {
   return DecodeFrameHeaderEx(r, out) == FrameError::kOk;
 }
 
-/// Bytes of header tail (everything after the length field that is not
-/// payload) for a given frame version.
-inline size_t FrameHeaderTailSize(uint8_t version) {
-  return (version >= 2 ? kFrameHeaderSize : kFrameHeaderSizeV1) - 4;
-}
-
 /// Payload bytes of a decoded header (length minus the header tail).
 inline size_t FramePayloadSize(const FrameHeader& h) {
-  return h.length - FrameHeaderTailSize(h.version);
+  return h.length - kFrameHeaderTailSize;
 }
 
 }  // namespace ripple::wire

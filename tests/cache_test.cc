@@ -1,12 +1,14 @@
 // The reuse layer (ctest label `cache`): RippleParam::Auto parsing, key
 // normalization, the LRU/TTL answer cache and bound index, the adaptive
 // controller's determinism, and batched execution returning answers
-// byte-identical to cold runs across both engines (docs/CACHING.md).
+// byte-identical to cold runs across both engines (docs/CACHING.md), plus
+// the shared peer stores those cached batches read concurrently.
 
 #include "cache/query_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "cache/adaptive.h"
@@ -21,9 +23,48 @@
 #include "ripple/api.h"
 #include "ripple/engine.h"
 #include "sim/async_engine.h"
+#include "store/local_store.h"
 
 namespace ripple {
 namespace {
+
+// --- Shared peer stores under concurrent readers ----------------------------
+
+// Executor workers (and so cached batches) run const queries on shared
+// peers at once, and LocalStore builds its k-d and sorted-id indexes
+// lazily inside those const paths. Every reader here races to trigger
+// both builds on one freshly mutated store; tools/check.sh thread runs
+// this label under TSan, which reports an unsynchronised rebuild.
+TEST(LocalStoreConcurrencyTest, ReadersOfAFreshlyMutatedStoreAgree) {
+  Rng rng(17);
+  const TupleVec tuples = data::MakeUniform(1200, 3, &rng);
+  const LinearScorer scorer({-0.5, -0.3, -0.2});
+  LocalStore store;
+  for (size_t end = 400; end <= tuples.size(); end += 400) {
+    store.AddAll(TupleVec(tuples.begin() + (end - 400), tuples.begin() + end));
+    LocalStore reference = store;  // builds its own indexes, alone
+    const TupleVec expected = reference.TopKAbove(scorer, 12, -1e300);
+    std::vector<TupleVec> got(4);
+    std::vector<int> found(4, 0);
+    std::vector<std::thread> readers;
+    for (size_t t = 0; t < got.size(); ++t) {
+      readers.emplace_back([&, t] {
+        got[t] = store.TopKAbove(scorer, 12, -1e300);
+        for (size_t i = 0; i < end; i += 7) {
+          found[t] += store.ContainsId(tuples[i].id) ? 1 : 0;
+        }
+      });
+    }
+    for (std::thread& r : readers) r.join();
+    for (size_t t = 0; t < got.size(); ++t) {
+      ASSERT_EQ(got[t].size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(got[t][i].id, expected[i].id);
+      }
+      EXPECT_EQ(found[t], static_cast<int>((end + 6) / 7));
+    }
+  }
+}
 
 // --- RippleParam::Auto and the Parse/ToString round trip ----------------------
 

@@ -159,9 +159,10 @@ TEST(WireFrameTest, WrongVersionAndTagRejected) {
   }
 }
 
-TEST(WireFrameTest, V1FrameDecodesWithEmptyTraceContext) {
+TEST(WireFrameTest, V1FrameIsRejectedAsBadVersion) {
   // Hand-build a v1 frame: the 22-byte header (no trace tail) plus one
-  // payload byte, as a v1-era peer would ship it.
+  // payload byte, as a v1-era peer would ship it. Every producer writes
+  // v2, so the decoder no longer accepts the old layout.
   wire::Buffer buf;
   buf.PutFixed32(0);  // length, patched below
   buf.PutU8(1);       // version 1
@@ -174,17 +175,8 @@ TEST(WireFrameTest, V1FrameDecodesWithEmptyTraceContext) {
 
   wire::Reader r(buf.bytes());
   wire::FrameHeader h;
-  EXPECT_EQ(wire::DecodeFrameHeaderEx(&r, &h), wire::FrameError::kOk);
-  EXPECT_EQ(h.version, 1);
-  EXPECT_EQ(h.id, 77u);
-  // The trace context decodes to its empty defaults: no trace, no parent,
-  // not sampled.
-  EXPECT_EQ(h.trace.trace_id, 0u);
-  EXPECT_EQ(h.trace.parent_span, wire::kNoParentSpan);
-  EXPECT_FALSE(h.trace.sampled());
-  EXPECT_EQ(wire::FramePayloadSize(h), 1u);
-  EXPECT_EQ(r.Varint(), 9u);
-  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(wire::DecodeFrameHeaderEx(&r, &h), wire::FrameError::kBadVersion);
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(WireFrameTest, V2TraceContextRoundTripsAndOldDecoderWouldReject) {

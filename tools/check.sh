@@ -5,7 +5,7 @@
 #
 #   tools/check.sh            # ASan + UBSan-less default: address
 #   tools/check.sh undefined  # UBSan
-#   tools/check.sh thread     # TSan over the concurrent executor tests
+#   tools/check.sh thread     # TSan: exec+cache labels, threaded bench smokes
 #   tools/check.sh address tests/obs_test   # limit ctest to a regex
 #   tools/check.sh wire       # wire codec/transport suite, ASan then UBSan
 #   tools/check.sh net        # live-overlay suite (sockets), ASan then UBSan
@@ -14,6 +14,7 @@
 #   tools/check.sh kernels    # column-kernel property suites, ASan then UBSan
 #   tools/check.sh obs        # observability suite (obs+exec labels), TSan
 #   tools/check.sh micro      # google-benchmark micro suite, smoke run
+#   tools/check.sh repeat     # tier-1, every test repeated until-fail:5
 #   tools/check.sh --bench    # bench smoke suite + BENCH_*.json gate
 #
 # The sanitized build lives in build-san-<kind> next to the regular
@@ -152,6 +153,42 @@ if [[ "${1:-}" == "kernels" ]]; then
   exit 0
 fi
 
+# repeat: tier-1 in the regular build, all cores, every test repeated
+# until it fails (at most 5 runs). Order-dependent and racy tests that a
+# single parallel pass lets through show up here.
+if [[ "${1:-}" == "repeat" ]]; then
+  cmake -B build -S .
+  cmake --build build -j "$(nproc)"
+  ctest --test-dir build --output-on-failure -j "$(nproc)" \
+    --repeat until-fail:5
+  echo "check.sh: tier-1 clean over 5 repeats"
+  exit 0
+fi
+
+# thread: TSan over the code that runs threads — the concurrent executor
+# (ctest label `exec`), the cache/batch layer whose workers read shared
+# peer stores (label `cache`), and the two bench smokes that drive both
+# at scale (bench_fig_cache, bench_fig_throughput). The engines
+# themselves are single-threaded by design; ASan/UBSan cover them. With
+# a ctest regex (`tools/check.sh thread <regex>`) the whole tree is
+# built and only the matching tests run.
+if [[ "${1:-}" == "thread" && -z "${2:-}" ]]; then
+  BUILD_DIR="build-san-thread"
+  cmake -B "$BUILD_DIR" -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DRIPPLE_SANITIZE=thread \
+    -DRIPPLE_BUILD_BENCHMARKS=ON \
+    -DRIPPLE_BUILD_EXAMPLES=OFF
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target exec_test cache_test \
+    bench_fig_cache bench_fig_throughput
+  mkdir -p "$BUILD_DIR/bench_json"
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'exec|cache'
+  ctest --test-dir "$BUILD_DIR" --output-on-failure \
+    -R '^bench_smoke_bench_fig_(cache|throughput)$'
+  echo "check.sh: thread build clean"
+  exit 0
+fi
+
 # micro: the google-benchmark micro suite (ctest label `micro`) at
 # smoke scale — one repetition, minimal timing — in the plain bench
 # build. This proves every registered micro benchmark (SoA kernels,
@@ -209,19 +246,6 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 CTEST_ARGS=(--test-dir "$BUILD_DIR" --output-on-failure)
-if [[ "$SANITIZER" == "thread" ]]; then
-  # TSan targets the code that actually runs threads: the concurrent
-  # executor suite (ctest label `exec`). The engines themselves are
-  # single-threaded by design; ASan/UBSan cover them.
-  if [[ -n "$FILTER" ]]; then
-    CTEST_ARGS+=(-R "$FILTER")
-  else
-    CTEST_ARGS+=(-L exec)
-  fi
-  ctest "${CTEST_ARGS[@]}"
-  echo "check.sh: $SANITIZER build clean"
-  exit 0
-fi
 if [[ -n "$FILTER" ]]; then
   CTEST_ARGS+=(-R "$FILTER")
 fi

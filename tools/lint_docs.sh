@@ -66,6 +66,11 @@ DEAD_SYMBOLS=(
   'compat::Run'
   'RunTopK('
   'RunSkyline('
+  kMinWireVersion
+  'FrameHeaderTailSize('
+  'sim/session.h'
+  'sim/retransmit.h'
+  BackedOffWallTimeout
 )
 for sym in "${DEAD_SYMBOLS[@]}"; do
   hits=$(grep -rnF -- "$sym" "${DOC_FILES[@]}" 2>/dev/null || true)

@@ -12,9 +12,6 @@
 //   $ ripple_cli run --query=topk --engine=async --loss=0.05 --crash-rate=0.01
 //   $ ripple_cli run --workload=default:64 --threads=4 --qps-target=200
 //
-// Bare invocation (`ripple_cli --query=...`) still works as an alias for
-// `run` with a deprecation note on stderr.
-//
 // Prints the answer tuples plus the cost metrics the paper reports
 // (latency in hops, peers visited, messages, tuples shipped). With
 // --engine=async the query runs through the discrete-event simulator;
@@ -892,7 +889,7 @@ constexpr char kUsage[] =
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && argv[1][0] != '-') {
+  if (argc >= 2) {
     const std::string cmd = argv[1];
     if (cmd == "run") return ripple::RunQuery(argc - 1, argv + 1);
     if (cmd == "serve") return ripple::RunServe(argc - 1, argv + 1);
@@ -901,19 +898,12 @@ int main(int argc, char** argv) {
     if (cmd == "trace-assemble") {
       return ripple::RunTraceAssemble(argc - 1, argv + 1);
     }
-    if (cmd == "help") {
+    if (cmd == "help" || cmd == "--help" || cmd == "-h") {
       std::fputs(kUsage, stdout);
       return 0;
     }
     std::fprintf(stderr, "unknown command '%s'\n\n%s", argv[1], kUsage);
     return 2;
-  }
-  if (argc >= 2) {
-    // Flags with no subcommand: the pre-subcommand invocation style.
-    std::fprintf(stderr,
-                 "note: bare `ripple_cli --flags` is deprecated; use "
-                 "`ripple_cli run --flags`\n");
-    return ripple::RunQuery(argc, argv);
   }
   std::fputs(kUsage, stdout);
   return 0;
