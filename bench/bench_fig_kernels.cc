@@ -32,6 +32,7 @@
 #include "bench_common.h"
 #include "common/kernel_counters.h"
 #include "geom/dominance.h"
+#include "oracles.h"
 #include "store/local_algos.h"
 
 using namespace ripple;
@@ -84,37 +85,6 @@ bool BitIdentical(const TupleVec& a, const TupleVec& b) {
     }
   }
   return true;
-}
-
-/// The row-at-a-time k-skyband the column kernels replaced: dedup by id,
-/// stable sort by coordinate sum, count each row's dominators among all
-/// earlier rows with the scalar Dominates.
-TupleVec KSkybandOracle(TupleVec tuples, size_t k) {
-  std::sort(tuples.begin(), tuples.end(), TupleIdLess());
-  tuples.erase(std::unique(tuples.begin(), tuples.end(),
-                           [](const Tuple& a, const Tuple& b) {
-                             return a.id == b.id;
-                           }),
-               tuples.end());
-  auto sum_of = [](const Tuple& t) {
-    double s = 0.0;
-    for (int i = 0; i < t.key.dims(); ++i) s += t.key[i];
-    return s;
-  };
-  std::stable_sort(tuples.begin(), tuples.end(),
-                   [&](const Tuple& a, const Tuple& b) {
-                     return sum_of(a) < sum_of(b);
-                   });
-  TupleVec band;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    size_t dominators = 0;
-    for (size_t j = 0; j < i && dominators < k; ++j) {
-      if (Dominates(tuples[j].key, tuples[i].key)) ++dominators;
-    }
-    if (dominators < k) band.push_back(tuples[i]);
-  }
-  std::sort(band.begin(), band.end(), TupleIdLess());
-  return band;
 }
 
 template <typename Fn>

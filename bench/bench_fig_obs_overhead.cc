@@ -9,11 +9,12 @@
 // bench. Wall clock is informational as usual, EXCEPT the ceiling: the
 // overhead case emits `wall_ceiling_traced_ms_mean` next to the measured
 // `wall_traced_ms_mean`, and tools/bench_check.py fails the gate when the
-// traced wall clock sits above its ceiling. The ceiling is derived from
-// the untraced wall clock measured on the same machine in the same run
-// (2.5x + 1ms slack), so it gates the overhead RATIO of tracing, not
-// absolute machine speed — a journal hot path regression fails the gate
-// on any hardware; a slow machine does not.
+// traced wall clock sits above its ceiling. The ceiling is a fixed ratio
+// (kMaxOverheadRatio) of the untraced whole-pass time measured on the
+// same machine in the same run, with no additive slack, so it gates the
+// overhead RATIO of tracing, not absolute machine speed — a journal hot
+// path regression fails the gate on any hardware; a slow machine does
+// not.
 
 #include <algorithm>
 #include <chrono>
@@ -32,6 +33,11 @@ using namespace ripple;
 using namespace ripple::bench;
 
 namespace {
+
+/// Traced whole-pass time may be at most this multiple of the bare one.
+/// Smoke-scale runs measure 1.04-1.30x on a 4-vCPU box; the bound leaves
+/// room for scheduler noise on passes well under a millisecond.
+constexpr double kMaxOverheadRatio = 2.0;
 
 struct ModeResult {
   double wall_ms_total = 0;
@@ -85,10 +91,10 @@ int main() {
   const MidasOverlay overlay = BuildMidas(peers, dims, config.seed, tuples);
   const size_t queries = config.queries;
 
-  // Best-of-3 per mode to shave scheduler noise; the two modes run the
+  // Best-of-5 per mode to shave scheduler noise; the two modes run the
   // byte-identical query sequence (same Rng stream), so their
   // deterministic outputs must agree.
-  constexpr int kReps = 3;
+  constexpr int kReps = 5;
   double bare_ms = std::numeric_limits<double>::infinity();
   double traced_ms = std::numeric_limits<double>::infinity();
   ModeResult bare, traced;
@@ -107,9 +113,12 @@ int main() {
     journal_events = journal.TotalEvents();
   }
 
+  // The gate compares whole-pass totals (min over reps); the per-query
+  // means below are those totals over the same query count, so the
+  // ceiling on the mean is the ratio bound on the totals.
   const double bare_mean = bare_ms / static_cast<double>(queries);
   const double traced_mean = traced_ms / static_cast<double>(queries);
-  const double ceiling_mean = 2.5 * bare_mean + 1.0;
+  const double ceiling_mean = kMaxOverheadRatio * bare_mean;
 
   const std::string case_id = "obs/overhead";
   // Deterministic: identical across machines and across the two modes.

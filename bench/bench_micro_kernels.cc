@@ -19,6 +19,7 @@
 #include "queries/topk.h"
 #include "ripple/wire_codec.h"
 #include "store/kd_index.h"
+#include "oracles.h"
 #include "store/local_algos.h"
 
 namespace ripple {

@@ -17,7 +17,7 @@ std::optional<Tuple> CanFloodDivService::FindBest(const DivQuery& query,
   // Every flood forward carries the query; every reply carries one tuple.
   const uint64_t forward_bytes = net::MeasureFrameBytes(
       net::MessageKind::kQuery,
-      [&](wire::Buffer* buf) { DivPolicy{}.EncodeQuery(query, buf); });
+      [&](auto* buf) { DivPolicy{}.EncodeQuery(query, buf); });
   uint64_t reply_bytes = 0;
   const uint64_t depth = overlay_->Flood(
       initiator_, [&](PeerId id, uint64_t) {
@@ -39,7 +39,7 @@ std::optional<Tuple> CanFloodDivService::FindBest(const DivQuery& query,
         stats->tuples_shipped += 1;
         reply_bytes += net::MeasureFrameBytes(
             net::MessageKind::kAnswer,
-            [&](wire::Buffer* buf) { EncodeTuple(*local, buf); });
+            [&](auto* buf) { EncodeTuple(*local, buf); });
         if (phi < best_phi ||
             (best.has_value() && phi == best_phi && local->id < best->id)) {
           best_phi = phi;

@@ -17,7 +17,7 @@ namespace {
 /// query itself has no parameters, so payloads are all tuples).
 uint64_t TupleFrameBytes(net::MessageKind kind, const TupleVec& tuples) {
   return net::MeasureFrameBytes(
-      kind, [&](wire::Buffer* buf) { EncodeTupleVec(tuples, buf); });
+      kind, [&](auto* buf) { EncodeTupleVec(tuples, buf); });
 }
 
 /// True when `s` contains a point dominating the entire zone.

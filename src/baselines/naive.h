@@ -67,15 +67,18 @@ class NaiveTopKPolicy {
 
   // Wire codecs: the query is a TopKQuery — reuse its codec so both
   // policies put identical query bytes on the wire; states are empty.
-  void EncodeQuery(const Query& q, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeQuery(const Query& q, Sink* buf) const {
     TopKPolicy{}.EncodeQuery(q, buf);
   }
   bool DecodeQuery(wire::Reader* r, Query* out) const {
     return TopKPolicy{}.DecodeQuery(r, out);
   }
-  void EncodeState(const Empty&, wire::Buffer*) const {}
+  template <typename Sink>
+  void EncodeState(const Empty&, Sink*) const {}
   bool DecodeState(wire::Reader* r, Empty*) const { return r->ok(); }
-  void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeAnswer(const Answer& a, Sink* buf) const {
     EncodeTupleVec(a, buf);
   }
   bool DecodeAnswer(wire::Reader* r, Answer* out) const {

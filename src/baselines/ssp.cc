@@ -88,7 +88,7 @@ SspResult RunSspSkyline(const BatonOverlay& overlay, PeerId initiator) {
         stats.tuples_shipped += local_sky.size();
         stats.bytes_on_wire += net::MeasureFrameBytes(
             net::MessageKind::kAnswer,
-            [&](wire::Buffer* buf) { EncodeTupleVec(local_sky, buf); });
+            [&](auto* buf) { EncodeTupleVec(local_sky, buf); });
         sky = MergeSkylines(std::move(sky), local_sky);
       }
     }

@@ -7,11 +7,6 @@
 
 namespace ripple {
 
-void EncodePoint(const Point& p, wire::Buffer* buf) {
-  buf->PutU8(static_cast<uint8_t>(p.dims()));
-  for (int i = 0; i < p.dims(); ++i) buf->PutF64(p[i]);
-}
-
 bool DecodePoint(wire::Reader* r, Point* out) {
   const uint8_t dims = r->U8();
   if (!r->ok() || dims > kMaxDims) {
@@ -23,11 +18,6 @@ bool DecodePoint(wire::Reader* r, Point* out) {
   if (!r->ok()) return false;
   *out = p;
   return true;
-}
-
-void EncodeRect(const Rect& rect, wire::Buffer* buf) {
-  EncodePoint(rect.lo(), buf);
-  EncodePoint(rect.hi(), buf);
 }
 
 bool DecodeRect(wire::Reader* r, Rect* out) {
@@ -49,25 +39,7 @@ bool DecodeRect(wire::Reader* r, Rect* out) {
   return true;
 }
 
-namespace {
-
-constexpr uint8_t kNormL1 = 0;
-constexpr uint8_t kNormL2 = 1;
-constexpr uint8_t kNormLInf = 2;
-
-constexpr uint8_t kScorerLinear = 1;
-constexpr uint8_t kScorerNearest = 2;
-
-}  // namespace
-
-void EncodeNorm(Norm norm, wire::Buffer* buf) {
-  switch (norm) {
-    case Norm::kL1: buf->PutU8(kNormL1); return;
-    case Norm::kL2: buf->PutU8(kNormL2); return;
-    case Norm::kLInf: buf->PutU8(kNormLInf); return;
-  }
-  RIPPLE_CHECK(false && "unknown Norm");
-}
+using namespace wire_tags;
 
 bool DecodeNorm(wire::Reader* r, Norm* out) {
   switch (r->U8()) {
@@ -79,22 +51,6 @@ bool DecodeNorm(wire::Reader* r, Norm* out) {
       return false;
   }
   return r->ok();
-}
-
-void EncodeScorer(const Scorer& s, wire::Buffer* buf) {
-  if (const auto* linear = dynamic_cast<const LinearScorer*>(&s)) {
-    buf->PutU8(kScorerLinear);
-    buf->PutVarint(linear->weights().size());
-    for (double w : linear->weights()) buf->PutF64(w);
-    return;
-  }
-  if (const auto* nearest = dynamic_cast<const NearestScorer*>(&s)) {
-    buf->PutU8(kScorerNearest);
-    EncodePoint(nearest->anchor(), buf);
-    EncodeNorm(nearest->norm(), buf);
-    return;
-  }
-  RIPPLE_CHECK(false && "scorer type has no wire encoding");
 }
 
 std::shared_ptr<const Scorer> DecodeScorer(wire::Reader* r) {

@@ -68,7 +68,8 @@ static_assert(static_cast<uint8_t>(MessageKind::kAdminHealth) ==
 /// frame header; `attempt` is bookkeeping, never on the wire — a
 /// retransmission is byte-identical to the original, which is what lets
 /// receivers dedup by id). Returns the frame start for wire::EndFrame.
-inline size_t BeginEnvelopeFrame(const Envelope& env, wire::Buffer* buf) {
+template <typename Sink>
+size_t BeginEnvelopeFrame(const Envelope& env, Sink* buf) {
   return wire::BeginFrame(buf, static_cast<uint8_t>(env.kind), env.id,
                           env.from, env.to, env.trace);
 }

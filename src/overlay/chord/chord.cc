@@ -168,14 +168,6 @@ bool ChordOverlay::IntersectArea(const Area& a, const Area& b, Area* out) {
   return !out->segments.empty();
 }
 
-void ChordOverlay::EncodeArea(const Area& area, wire::Buffer* buf) const {
-  buf->PutVarint(area.segments.size());
-  for (const auto& [lo, hi] : area.segments) {
-    buf->PutVarint(lo);
-    buf->PutVarint(hi - lo);
-  }
-}
-
 bool ChordOverlay::DecodeArea(wire::Reader* r, Area* out) const {
   out->zorder = &zorder_;
   out->segments.clear();

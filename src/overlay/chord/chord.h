@@ -124,7 +124,14 @@ class ChordOverlay {
   /// [varint lo][varint (hi - lo)]. The zorder pointer never travels;
   /// DecodeArea re-binds the decoded area to this overlay's mapping and
   /// rejects segments that leave the ring or are empty.
-  void EncodeArea(const Area& area, wire::Buffer* buf) const;
+  template <typename Sink>
+  void EncodeArea(const Area& area, Sink* buf) const {
+    buf->PutVarint(area.segments.size());
+    for (const auto& [lo, hi] : area.segments) {
+      buf->PutVarint(lo);
+      buf->PutVarint(hi - lo);
+    }
+  }
   bool DecodeArea(wire::Reader* r, Area* out) const;
 
   /// Structural self-check: zones partition the ring; per peer, link

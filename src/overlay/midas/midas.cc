@@ -28,7 +28,7 @@ MidasOverlay::MidasOverlay(const MidasOptions& options)
   tree_[root_].rect = options_.domain;
   tree_[root_].leaf_peer = first;
   leaf_node_of_peer_[first] = root_;
-  alive_count_ = 1;
+  alive_ids_.push_back(first);
 }
 
 MidasOverlay::Peer& MidasOverlay::MutablePeer(PeerId id) {
@@ -69,22 +69,11 @@ int MidasOverlay::MaxDepth() const {
   return best;
 }
 
-std::vector<PeerId> MidasOverlay::LivePeers() const {
-  std::vector<PeerId> out;
-  out.reserve(alive_count_);
-  for (PeerId i = 0; i < peers_.size(); ++i) {
-    if (peers_[i].alive) out.push_back(i);
-  }
-  return out;
-}
+std::vector<PeerId> MidasOverlay::LivePeers() const { return alive_ids_; }
 
 PeerId MidasOverlay::RandomPeer(Rng* rng) const {
-  RIPPLE_CHECK(alive_count_ > 0);
-  for (;;) {
-    const PeerId id =
-        static_cast<PeerId>(rng->UniformU64(peers_.size()));
-    if (peers_[id].alive) return id;
-  }
+  RIPPLE_CHECK(!alive_ids_.empty());
+  return alive_ids_[rng->UniformU64(alive_ids_.size())];
 }
 
 Rect MidasOverlay::SubtreeRect(const BitString& prefix) const {
@@ -319,7 +308,9 @@ PeerId MidasOverlay::JoinSplitting(PeerId split_peer) {
   backlinks_[split_peer].push_back(
       BackRef{fresh_id, static_cast<int>(n.links.size()) - 1});
 
-  ++alive_count_;
+  alive_ids_.insert(
+      std::lower_bound(alive_ids_.begin(), alive_ids_.end(), fresh_id),
+      fresh_id);
   RIPPLE_LOG(kDebug, "midas: peer %u joined splitting %u (depth %d, dim %d)",
              fresh_id, split_peer, depth + 1, dim);
   return fresh_id;
@@ -329,7 +320,7 @@ Status MidasOverlay::Leave(PeerId id) {
   if (id >= peers_.size() || !peers_[id].alive) {
     return Status::NotFound("no such live peer");
   }
-  if (alive_count_ <= 1) {
+  if (alive_ids_.size() <= 1) {
     return Status::FailedPrecondition("cannot remove the last peer");
   }
 
@@ -415,12 +406,13 @@ Status MidasOverlay::Leave(PeerId id) {
   leaf_node_of_peer_[id] = -1;
   RIPPLE_CHECK(backlinks_[id].empty());
   free_peers_.push_back(id);
-  --alive_count_;
+  alive_ids_.erase(
+      std::lower_bound(alive_ids_.begin(), alive_ids_.end(), id));
   return Status::OK();
 }
 
 Status MidasOverlay::LeaveRandom(Rng* rng) {
-  if (alive_count_ <= 1) {
+  if (alive_ids_.size() <= 1) {
     return Status::FailedPrecondition("cannot remove the last peer");
   }
   return Leave(RandomPeer(rng));
@@ -488,8 +480,16 @@ Status MidasOverlay::Validate() const {
       }
     }
   }
-  if (seen_alive != alive_count_) {
+  if (seen_alive != alive_ids_.size()) {
     return Status::Internal("alive count mismatch");
+  }
+  // Equal sizes, so strictly ascending live ids are exactly the live set.
+  for (size_t i = 0; i < alive_ids_.size(); ++i) {
+    const PeerId id = alive_ids_[i];
+    if (id >= peers_.size() || !peers_[id].alive ||
+        (i > 0 && alive_ids_[i - 1] >= id)) {
+      return Status::Internal("live id list out of sync");
+    }
   }
   if (std::abs(zone_volume - options_.domain.Volume()) >
       1e-9 * options_.domain.Volume()) {

@@ -82,7 +82,7 @@ class MidasOverlay {
   Area FullArea() const { return options_.domain; }
 
   /// Number of live peers.
-  size_t NumPeers() const { return alive_count_; }
+  size_t NumPeers() const { return alive_ids_.size(); }
 
   /// Maximum live-peer depth == maximum number of links of any peer — the
   /// paper's Delta, upper-bounding the diameter (Lemma 1).
@@ -93,7 +93,9 @@ class MidasOverlay {
   /// Ids of all live peers, ascending.
   std::vector<PeerId> LivePeers() const;
 
-  /// A uniformly random live peer.
+  /// A uniformly random live peer: exactly one draw from `rng`, an index
+  /// into the live ids in ascending order (so while no slot has been
+  /// vacated it is the draw over all slots).
   PeerId RandomPeer(Rng* rng) const;
 
   /// Adds a peer: a uniformly random live peer is contacted and splits its
@@ -140,7 +142,8 @@ class MidasOverlay {
   static bool IntersectArea(const Area& a, const Area& b, Area* out);
 
   /// Area wire codec (docs/WIRE.md): a MIDAS area is a plain rectangle.
-  void EncodeArea(const Area& area, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeArea(const Area& area, Sink* buf) const {
     EncodeRect(area, buf);
   }
   bool DecodeArea(wire::Reader* r, Area* out) const {
@@ -211,7 +214,7 @@ class MidasOverlay {
   std::vector<std::vector<BackRef>> backlinks_;  // indexed by target peer
   std::vector<int> leaf_node_of_peer_;           // tree node of each peer
   std::vector<PeerId> free_peers_;
-  size_t alive_count_ = 0;
+  std::vector<PeerId> alive_ids_;  // live peer ids, ascending
   int root_ = 0;
 };
 

@@ -158,7 +158,8 @@ class DivPolicy {
   // Wire codecs: [query point][f64 lambda][norm][exclude tuples]; decode
   // re-runs Precompute() so the cached SetStats never travel (they are
   // derived data and would go stale undetectably). State is a bare f64.
-  void EncodeQuery(const Query& q, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeQuery(const Query& q, Sink* buf) const {
     EncodePoint(q.objective.query, buf);
     buf->PutF64(q.objective.lambda);
     EncodeNorm(q.objective.norm, buf);
@@ -172,14 +173,16 @@ class DivPolicy {
     out->Precompute();
     return true;
   }
-  void EncodeState(const DivState& s, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeState(const DivState& s, Sink* buf) const {
     buf->PutF64(s.tau);
   }
   bool DecodeState(wire::Reader* r, DivState* out) const {
     out->tau = r->F64();
     return r->ok();
   }
-  void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeAnswer(const Answer& a, Sink* buf) const {
     EncodeTupleVec(a, buf);
   }
   bool DecodeAnswer(wire::Reader* r, Answer* out) const {

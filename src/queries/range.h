@@ -95,7 +95,8 @@ class RangePolicy {
 
   // Wire codecs: [center][f64 radius][norm]; empty states occupy zero
   // bytes on the wire.
-  void EncodeQuery(const Query& q, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeQuery(const Query& q, Sink* buf) const {
     EncodePoint(q.center, buf);
     buf->PutF64(q.radius);
     EncodeNorm(q.norm, buf);
@@ -105,9 +106,11 @@ class RangePolicy {
     out->radius = r->F64();
     return r->ok() && DecodeNorm(r, &out->norm);
   }
-  void EncodeState(const Empty&, wire::Buffer*) const {}
+  template <typename Sink>
+  void EncodeState(const Empty&, Sink*) const {}
   bool DecodeState(wire::Reader* r, Empty*) const { return r->ok(); }
-  void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeAnswer(const Answer& a, Sink* buf) const {
     EncodeTupleVec(a, buf);
   }
   bool DecodeAnswer(wire::Reader* r, Answer* out) const {

@@ -9,8 +9,7 @@ SkybandPolicy::LocalState SkybandPolicy::ComputeLocalState(
   // Keep local band members not already disqualified by the global state:
   // those still in the band of (local band ∪ g).
   LocalState l;
-  l.tuples = SkybandSurvivors(ComputeKSkyband(store.Snapshot(), q.band),
-                              g.tuples, q.band);
+  l.tuples = SkybandSurvivors(store.LocalSkyband(q.band), g.tuples, q.band);
   return l;
 }
 

@@ -96,7 +96,8 @@ class SkybandPolicy {
   void FinalizeAnswer(Answer* acc, const Query& q) const;
 
   // Wire codecs: [varint band][norm]; two tuple vectors; tuple vector.
-  void EncodeQuery(const Query& q, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeQuery(const Query& q, Sink* buf) const {
     buf->PutVarint(q.band);
     EncodeNorm(q.norm, buf);
   }
@@ -104,7 +105,8 @@ class SkybandPolicy {
     out->band = static_cast<size_t>(r->Varint());
     return r->ok() && DecodeNorm(r, &out->norm);
   }
-  void EncodeState(const SkybandState& s, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeState(const SkybandState& s, Sink* buf) const {
     EncodeTupleVec(s.tuples, buf);
     EncodeTupleVec(s.dominators, buf);
   }
@@ -112,7 +114,8 @@ class SkybandPolicy {
     return DecodeTupleVec(r, &out->tuples) &&
            DecodeTupleVec(r, &out->dominators);
   }
-  void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeAnswer(const Answer& a, Sink* buf) const {
     EncodeTupleVec(a, buf);
   }
   bool DecodeAnswer(wire::Reader* r, Answer* out) const {

@@ -124,7 +124,8 @@ class SkylinePolicy {
 
   // Wire codecs: [norm][u8 has_constraint][rect?]; two tuple vectors
   // (tuples, dominators); tuple vector.
-  void EncodeQuery(const Query& q, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeQuery(const Query& q, Sink* buf) const {
     EncodeNorm(q.norm, buf);
     buf->PutU8(q.constraint.has_value() ? 1 : 0);
     if (q.constraint.has_value()) EncodeRect(*q.constraint, buf);
@@ -144,7 +145,8 @@ class SkylinePolicy {
     }
     return true;
   }
-  void EncodeState(const SkylineState& s, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeState(const SkylineState& s, Sink* buf) const {
     EncodeTupleVec(s.tuples, buf);
     EncodeTupleVec(s.dominators, buf);
   }
@@ -152,7 +154,8 @@ class SkylinePolicy {
     return DecodeTupleVec(r, &out->tuples) &&
            DecodeTupleVec(r, &out->dominators);
   }
-  void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeAnswer(const Answer& a, Sink* buf) const {
     EncodeTupleVec(a, buf);
   }
   bool DecodeAnswer(wire::Reader* r, Answer* out) const {

@@ -75,7 +75,7 @@ typename EngineT::Result SeededSkyline(
   // Each route forward carries the query: one query-only frame per hop.
   result.stats.bytes_on_wire +=
       hops * net::MeasureFrameBytes(net::MessageKind::kQuery,
-                                    [&](wire::Buffer* buf) {
+                                    [&](auto* buf) {
                                       engine.policy().EncodeQuery(query, buf);
                                     });
   if (result.completion_time > 0) {

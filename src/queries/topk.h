@@ -97,7 +97,8 @@ class TopKPolicy {
   void FinalizeAnswer(Answer* acc, const Query& q) const;
 
   // Wire codecs: [scorer][varint k][f64 epsilon]; (m, tau); tuple vector.
-  void EncodeQuery(const Query& q, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeQuery(const Query& q, Sink* buf) const {
     EncodeScorer(*q.scorer, buf);
     buf->PutVarint(q.k);
     buf->PutF64(q.epsilon);
@@ -110,7 +111,8 @@ class TopKPolicy {
     out->epsilon = r->F64();
     return r->ok();
   }
-  void EncodeState(const TopKState& s, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeState(const TopKState& s, Sink* buf) const {
     buf->PutVarint(s.m);
     buf->PutF64(s.tau);
   }
@@ -119,7 +121,8 @@ class TopKPolicy {
     out->tau = r->F64();
     return r->ok();
   }
-  void EncodeAnswer(const Answer& a, wire::Buffer* buf) const {
+  template <typename Sink>
+  void EncodeAnswer(const Answer& a, Sink* buf) const {
     EncodeTupleVec(a, buf);
   }
   bool DecodeAnswer(wire::Reader* r, Answer* out) const {

@@ -107,7 +107,7 @@ typename EngineT::Result SeededTopK(const Overlay& overlay,
   // one query-only frame each, measured with the engines' codec.
   const uint64_t query_frame_bytes = net::MeasureFrameBytes(
       net::MessageKind::kQuery,
-      [&](wire::Buffer* buf) { policy.EncodeQuery(query, buf); });
+      [&](auto* buf) { policy.EncodeQuery(query, buf); });
   bootstrap.latency_hops += hops;
   bootstrap.messages += hops;
   bootstrap.peers_visited += hops;  // forwarding peers handle the query

@@ -52,6 +52,9 @@ class Engine {
   using Answer = typename Policy::Answer;
   using Request = QueryRequest<Policy>;
   using Result = QueryResult<Answer>;
+  using Pricing = typename PricingPolicy<Overlay, Policy>::type;
+  static_assert(SizesFrames<Overlay, Pricing>,
+                "the engine prices frames through wire::SizeCounter");
 
   /// The overlay must outlive the engine.
   Engine(const Overlay* overlay, Policy policy)
@@ -145,7 +148,6 @@ class Engine {
     Answer answer{};
     QueryStats stats;
     net::WireTraffic traffic;
-    wire::Buffer scratch;  // frame measurement buffer, reused per charge
     PeerId initiator = kInvalidPeer;
     /// The query's trace context, stamped into every measured frame so the
     /// recursive engine's bytes_on_wire prices the v2 header exactly like
@@ -155,38 +157,41 @@ class Engine {
   };
 
   // Byte charges. The recursive engine never ships bytes — it is the
-  // analytic model — but it *measures* them by encoding each charged
-  // message through the same WireCodec the async engine transmits with,
-  // so bytes_on_wire agrees between the engines by construction
-  // (asserted by the cross-validation tests). Envelope ids are synthetic:
-  // frame headers are fixed-width, so sizes do not depend on them.
+  // analytic model — but it *prices* them: each charged message runs
+  // through the same WireCodec the async engine transmits with, over a
+  // wire::SizeCounter sink that counts the bytes the encoders would write
+  // without writing them. bytes_on_wire therefore agrees between the
+  // engines by construction (asserted by the cross-validation tests).
+  // Envelope ids are synthetic: frame headers are fixed-width, so sizes
+  // do not depend on them.
+
+  WireCodec<Overlay, Pricing> Pricer() const {
+    return WireCodec<Overlay, Pricing>(overlay_, &policy_);
+  }
 
   uint64_t QueryFrameBytes(const Query& query, const GlobalState& g,
                            const Area& area, int r, PeerId from, PeerId to,
                            RunContext* ctx) const {
-    ctx->scratch.Clear();
     const net::Envelope env{0, from, to, net::MessageKind::kQuery, 0,
                             ctx->trace};
-    return WireCodec<Overlay, Policy>(overlay_, &policy_)
-        .EncodeQueryMessage(env, query, g, area, r, &ctx->scratch);
+    wire::SizeCounter size;
+    return Pricer().EncodeQueryMessage(env, query, g, area, r, &size);
   }
 
   uint64_t ResponseFrameBytes(const LocalState& s, PeerId from, PeerId to,
                               RunContext* ctx) const {
-    ctx->scratch.Clear();
     const net::Envelope env{0, from, to, net::MessageKind::kResponse, 0,
                             ctx->trace};
-    return WireCodec<Overlay, Policy>(overlay_, &policy_)
-        .EncodeResponseFrame(env, s, &ctx->scratch);
+    wire::SizeCounter size;
+    return Pricer().EncodeResponseFrame(env, s, &size);
   }
 
   uint64_t AnswerFrameBytes(const Answer& a, PeerId from, PeerId to,
                             RunContext* ctx) const {
-    ctx->scratch.Clear();
     const net::Envelope env{0, from, to, net::MessageKind::kAnswer, 0,
                             ctx->trace};
-    return WireCodec<Overlay, Policy>(overlay_, &policy_)
-        .EncodeAnswerMessage(env, a, &ctx->scratch);
+    wire::SizeCounter size;
+    return Pricer().EncodeAnswerMessage(env, a, &size);
   }
 
   /// What a processed peer reports back towards its nearest slow-phase

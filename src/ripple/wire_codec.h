@@ -1,6 +1,7 @@
 #ifndef RIPPLE_RIPPLE_WIRE_CODEC_H_
 #define RIPPLE_RIPPLE_WIRE_CODEC_H_
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -25,10 +26,11 @@ namespace ripple {
 /// Both the recursive and the async engine charge bytes through this one
 /// class, so their bytes_on_wire agree by construction: same policy, same
 /// overlay, same payload bytes. All Encode* return the size of the frame
-/// just appended. Decode*Payload assume the caller already consumed the
-/// frame header (net::DecodeEnvelopeFrame) and is positioned at the
-/// payload; the caller owns verifying the frame's declared length against
-/// the bytes actually consumed.
+/// just appended to `Sink`: a wire::Buffer to ship it, a wire::SizeCounter
+/// to price it without writing a byte. Decode*Payload assume the caller
+/// already consumed the frame header (net::DecodeEnvelopeFrame) and is
+/// positioned at the payload; the caller owns verifying the frame's
+/// declared length against the bytes actually consumed.
 template <typename Overlay, typename Policy>
 class WireCodec {
  public:
@@ -41,9 +43,10 @@ class WireCodec {
   WireCodec(const Overlay* overlay, const Policy* policy)
       : overlay_(overlay), policy_(policy) {}
 
+  template <typename Sink>
   size_t EncodeQueryMessage(const net::Envelope& env, const Query& q,
                             const GlobalState& g, const Area& area,
-                            int64_t r, wire::Buffer* buf) const {
+                            int64_t r, Sink* buf) const {
     const size_t start = net::BeginEnvelopeFrame(env, buf);
     buf->PutZigzag(r);
     policy_->EncodeQuery(q, buf);
@@ -59,8 +62,9 @@ class WireCodec {
            policy_->DecodeState(r, g) && overlay_->DecodeArea(r, area);
   }
 
+  template <typename Sink>
   size_t EncodeResponseFrame(const net::Envelope& env, const LocalState& s,
-                             wire::Buffer* buf) const {
+                             Sink* buf) const {
     const size_t start = net::BeginEnvelopeFrame(env, buf);
     policy_->EncodeState(s, buf);
     wire::EndFrame(buf, start);
@@ -70,8 +74,9 @@ class WireCodec {
     return policy_->DecodeState(r, s);
   }
 
+  template <typename Sink>
   size_t EncodeAnswerMessage(const net::Envelope& env, const Answer& a,
-                             wire::Buffer* buf) const {
+                             Sink* buf) const {
     const size_t start = net::BeginEnvelopeFrame(env, buf);
     policy_->EncodeAnswer(a, buf);
     wire::EndFrame(buf, start);
@@ -133,6 +138,36 @@ class WireCodec {
  private:
   const Overlay* overlay_;
   const Policy* policy_;
+};
+
+/// Whether `Policy`'s and `Overlay`'s encoders accept a wire::SizeCounter,
+/// so WireCodec<Overlay, Policy> can price a frame without writing it.
+template <typename Overlay, typename Policy>
+concept SizesFrames = requires(
+    const Policy p, const Overlay o, const typename Policy::Query q,
+    const typename Policy::LocalState l, const typename Policy::GlobalState g,
+    const typename Policy::Answer a, const typename Overlay::Area area,
+    wire::SizeCounter* size) {
+  p.EncodeQuery(q, size);
+  p.EncodeState(l, size);
+  p.EncodeState(g, size);
+  p.EncodeAnswer(a, size);
+  o.EncodeArea(area, size);
+};
+
+/// The policy whose encoders price a frame: `Policy` itself, or, for a
+/// decorator D<P> that derives from P and overrides only the wire::Buffer
+/// encoders (a timing or logging wrapper, whose overrides hide P's sink
+/// templates), the wrapped P. Pricing writes no frame, so such a wrapper
+/// still sees every frame that is actually encoded.
+template <typename Overlay, typename Policy>
+struct PricingPolicy {
+  using type = Policy;
+};
+template <typename Overlay, template <typename> class D, typename P>
+  requires(std::derived_from<D<P>, P> && !SizesFrames<Overlay, D<P>>)
+struct PricingPolicy<Overlay, D<P>> {
+  using type = P;
 };
 
 }  // namespace ripple

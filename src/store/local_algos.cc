@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/arena.h"
+#include "common/check.h"
 #include "geom/dominance.h"
 
 namespace ripple {
@@ -88,6 +89,31 @@ class ArenaColumns {
   size_t size_ = 0;
   double* cols_[kMaxDims] = {};
 };
+
+/// The forward pass of the band kernels over `n` candidates in (coordinate
+/// sum, id) order: each candidate's dominators are counted, up to `k`,
+/// against the running band (held column-wise), and a candidate with fewer
+/// than `k` joins the band and is reported as keep(i, count). Only earlier
+/// candidates count under the precedence rule, and a candidate with `k`
+/// dominators has `k` inside the band itself (band lemma, docs/STORE.md),
+/// so the one pass suffices.
+template <typename KeyAt, typename Keep>
+void BandPass(size_t n, int dims, size_t k, const KeyAt& key_at,
+              const Keep& keep) {
+  Arena& arena = PerQueryArena();
+  ArenaScope scope(&arena);
+  ArenaColumns band_cols(&arena, dims, n);
+  KernelCounters& kc = LocalKernelCounters();
+  for (size_t i = 0; i < n; ++i) {
+    ++kc.tuples_scanned;
+    const auto& key = key_at(i);
+    const size_t count = CountDominatorsColumns(band_cols.cols(), dims,
+                                                band_cols.size(), key, k);
+    if (count >= k) continue;
+    band_cols.Append(key);
+    keep(i, count);
+  }
+}
 
 /// Keeps the tuples whose `keep` flag is set, in order.
 void Compact(TupleVec* tuples, const uint8_t* keep) {
@@ -207,37 +233,6 @@ TupleVec ComputeSkyline(TupleVec tuples) {
   return sky;
 }
 
-TupleVec ComputeSkylineScalar(TupleVec tuples) {
-  if (tuples.empty()) return tuples;
-  // Drop duplicates by id first (merged states may repeat tuples).
-  std::sort(tuples.begin(), tuples.end(), TupleIdLess());
-  tuples.erase(std::unique(tuples.begin(), tuples.end(),
-                           [](const Tuple& a, const Tuple& b) {
-                             return a.id == b.id;
-                           }),
-               tuples.end());
-  // Sort by coordinate sum: a tuple can only be dominated by tuples with a
-  // strictly smaller sum, so a single forward pass against the running
-  // skyline suffices.
-  std::stable_sort(tuples.begin(), tuples.end(),
-                   [&](const Tuple& a, const Tuple& b) {
-                     return SumOf(a) < SumOf(b);
-                   });
-  TupleVec sky;
-  for (const Tuple& t : tuples) {
-    bool dominated = false;
-    for (const Tuple& s : sky) {
-      if (Dominates(s.key, t.key)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) sky.push_back(t);
-  }
-  std::sort(sky.begin(), sky.end(), TupleIdLess());
-  return sky;
-}
-
 TupleVec SelectDominators(const TupleVec& sky, size_t max_count) {
   if (sky.size() <= max_count) return sky;
   // Precompute the sums once and select over an index permutation: the
@@ -313,51 +308,6 @@ TupleVec MergeSkylines(TupleVec a, const TupleVec& b) {
   return out;
 }
 
-TupleVec MergeSkylinesScalar(TupleVec a, const TupleVec& b) {
-  if (b.empty()) {
-    std::sort(a.begin(), a.end(), TupleIdLess());
-    return a;
-  }
-  if (a.empty()) {
-    TupleVec out = b;
-    std::sort(out.begin(), out.end(), TupleIdLess());
-    return out;
-  }
-  TupleVec out;
-  out.reserve(a.size() + b.size());
-  for (const Tuple& t : a) {
-    bool dominated = false;
-    for (const Tuple& s : b) {
-      if (Dominates(s.key, t.key)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) out.push_back(t);
-  }
-  const size_t a_survivors = out.size();
-  for (const Tuple& t : b) {
-    bool skip = false;
-    for (size_t i = 0; i < a_survivors; ++i) {
-      if (out[i].id == t.id) {
-        skip = true;
-        break;
-      }
-    }
-    if (skip) continue;
-    bool dominated = false;
-    for (const Tuple& s : a) {
-      if (Dominates(s.key, t.key)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) out.push_back(t);
-  }
-  std::sort(out.begin(), out.end(), TupleIdLess());
-  return out;
-}
-
 TupleVec SkylineSurvivors(TupleVec sky, const TupleVec& others) {
   if (sky.empty() || others.empty()) return sky;
   const int dims = sky[0].key.dims();
@@ -403,26 +353,54 @@ TupleVec SkylineSurvivors(TupleVec sky, const TupleVec& others) {
 TupleVec ComputeKSkyband(TupleVec tuples, size_t k) {
   if (tuples.empty() || k == 0) return {};
   TupleVec sorted = DedupAndSumSort(std::move(tuples));
-  const int dims = sorted[0].key.dims();
-  // Only rows before a candidate in (sum, id) order count against it, and
-  // a candidate with k of them has k inside the band itself (band lemma,
-  // docs/STORE.md), so one forward pass counting against the running
-  // band — held column-wise — suffices.
-  Arena& arena = PerQueryArena();
-  ArenaScope scope(&arena);
-  ArenaColumns band_cols(&arena, dims, sorted.size());
   TupleVec band;
-  KernelCounters& kc = LocalKernelCounters();
-  for (Tuple& t : sorted) {
-    ++kc.tuples_scanned;
-    if (CountDominatorsColumns(band_cols.cols(), dims, band_cols.size(),
-                               t.key, k) >= k) {
-      continue;
-    }
-    band_cols.Append(t.key);
-    band.push_back(std::move(t));
-  }
+  BandPass(
+      sorted.size(), sorted[0].key.dims(), k,
+      [&](size_t i) -> const Point& { return sorted[i].key; },
+      [&](size_t i, size_t) { band.push_back(std::move(sorted[i])); });
   std::sort(band.begin(), band.end(), TupleIdLess());
+  return band;
+}
+
+std::optional<std::vector<BandRow>> StoreBand(const store::FlatStore& flat,
+                                              size_t cap) {
+  RIPPLE_CHECK(cap >= 1 && cap <= 255);
+  const size_t n = flat.size();
+  std::vector<BandRow> band;
+  if (n == 0) return band;
+  // The rows in id order, then in (sum, id) order by the same stable sum
+  // sort DedupAndSumSort runs over the id-sorted tuples, so the pass
+  // visits rows exactly as ComputeKSkyband visits the materialized store.
+  std::vector<uint32_t> by_id(n);
+  std::iota(by_id.begin(), by_id.end(), 0);
+  std::sort(by_id.begin(), by_id.end(), [&](uint32_t a, uint32_t b) {
+    return flat.id(a) < flat.id(b);
+  });
+  for (size_t i = 1; i < n; ++i) {
+    if (flat.id(by_id[i - 1]) == flat.id(by_id[i])) return std::nullopt;
+  }
+  std::vector<double> sums(n, 0.0);
+  for (int c = 0; c < flat.dims(); ++c) {
+    const double* col = flat.col(c);
+    for (size_t i = 0; i < n; ++i) sums[i] += col[by_id[i]];
+  }
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](uint32_t a, uint32_t b) { return sums[a] < sums[b]; });
+  // Band members as (id rank, count); sorting the ranks restores id order.
+  std::vector<std::pair<uint32_t, uint8_t>> members;
+  BandPass(
+      n, flat.dims(), cap,
+      [&](size_t i) { return flat.PointAt(by_id[order[i]]); },
+      [&](size_t i, size_t count) {
+        members.emplace_back(order[i], static_cast<uint8_t>(count));
+      });
+  std::sort(members.begin(), members.end());
+  band.reserve(members.size());
+  for (const auto& [rank, count] : members) {
+    band.push_back(BandRow{by_id[rank], count});
+  }
   return band;
 }
 

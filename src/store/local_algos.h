@@ -2,9 +2,13 @@
 #define RIPPLE_STORE_LOCAL_ALGOS_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "common/kernel_counters.h"
 #include "store/bounded_topk.h"
+#include "store/flat_store.h"
 #include "store/tuple.h"
 
 namespace ripple {
@@ -18,13 +22,8 @@ namespace ripple {
 /// in tests. O(n log n + n * s) where s is the skyline size. Internally the
 /// candidate pass runs the column-wise dominance kernel
 /// (AnyDominatesColumns) over a structure-of-arrays copy of the running
-/// skyline; ComputeSkylineScalar is the retained row-at-a-time oracle and
-/// returns byte-identical results.
+/// skyline.
 TupleVec ComputeSkyline(TupleVec tuples);
-
-/// The pre-SoA scalar implementation, kept as the parity oracle for tests
-/// and the bench_fig_kernels before/after panel.
-TupleVec ComputeSkylineScalar(TupleVec tuples);
 
 /// Merges two sets that are EACH already skylines (mutually non-dominated
 /// within themselves) into the skyline of their union, using only
@@ -34,12 +33,8 @@ TupleVec ComputeSkylineScalar(TupleVec tuples);
 /// skyline state maintenance, where every incoming state is itself a
 /// skyline; at d >= 8, where skylines span half the dataset, the full
 /// recomputation would be quadratic in the data size per peer. The
-/// cross-dominance passes run the column-wise kernel; MergeSkylinesScalar
-/// is the retained oracle.
+/// cross-dominance passes run the column-wise kernel.
 TupleVec MergeSkylines(TupleVec a, const TupleVec& b);
-
-/// The pre-SoA scalar implementation, kept as the parity oracle.
-TupleVec MergeSkylinesScalar(TupleVec a, const TupleVec& b);
 
 /// The tuples of `sky` that MergeSkylines(sky, others) keeps, in `sky`'s
 /// order — the skyline local state (Algorithm 10, lines 2-3) without
@@ -58,6 +53,25 @@ TupleVec SkylineSurvivors(TupleVec sky, const TupleVec& others);
 /// id) order counts each candidate's dominators among the running band,
 /// held column-wise in the per-query arena, with CountDominatorsColumns.
 TupleVec ComputeKSkyband(TupleVec tuples, size_t k);
+
+/// A store row in its band, with the row's dominator count under the
+/// precedence rule.
+struct BandRow {
+  uint32_t row;
+  uint8_t dominators;
+};
+
+/// The `cap`-band of a store's rows, in id order, each row with its
+/// dominator count: the rows ComputeKSkyband(flat.Materialize(), cap)
+/// keeps, found by the same forward pass. Counting against the running
+/// band gives min(true count, cap), and every dominator of a band row is
+/// itself in the band, so the counts of band rows are exact and the
+/// k-band for any k <= cap is the filter `dominators < k` (docs/STORE.md,
+/// "The epoch band"). nullopt when two rows share an id, where the
+/// materialized kernel's choice of copy is not a row property. Requires
+/// 1 <= cap <= 255.
+std::optional<std::vector<BandRow>> StoreBand(const store::FlatStore& flat,
+                                              size_t cap);
 
 /// The k-band analogue of MergeSkylines: ComputeKSkyband(a ∪ b, k) for
 /// inputs that are EACH already k-bands (every tuple has fewer than k
@@ -84,14 +98,9 @@ TupleVec SelectDominators(const TupleVec& sky, size_t max_count);
 /// Returns the k highest scoring tuples under `score_of` (higher first),
 /// deterministic tie-break by id. Used as the centralized top-k oracle.
 /// Runs a bounded branch-light queue (store::BoundedTopK) over the
-/// candidates instead of copy-and-full-sort; SelectTopKScalar is the
-/// retained partial_sort oracle and returns byte-identical results.
+/// candidates instead of copy-and-full-sort.
 template <typename ScoreFn>
 TupleVec SelectTopK(TupleVec tuples, const ScoreFn& score_of, size_t k);
-
-/// The pre-SoA partial_sort implementation, kept as the parity oracle.
-template <typename ScoreFn>
-TupleVec SelectTopKScalar(TupleVec tuples, const ScoreFn& score_of, size_t k);
 
 // ---------------------------------------------------------------------------
 // Implementation details only below here.
@@ -112,24 +121,6 @@ TupleVec SelectTopK(TupleVec tuples, const ScoreFn& score_of, size_t k) {
     out.push_back(std::move(tuples[e.payload]));
   }
   return out;
-}
-
-template <typename ScoreFn>
-TupleVec SelectTopKScalar(TupleVec tuples, const ScoreFn& score_of,
-                          size_t k) {
-  auto better = [&](const Tuple& a, const Tuple& b) {
-    const double sa = score_of(a.key), sb = score_of(b.key);
-    if (sa != sb) return sa > sb;
-    return a.id < b.id;
-  };
-  if (tuples.size() > k) {
-    std::partial_sort(tuples.begin(), tuples.begin() + k, tuples.end(),
-                      better);
-    tuples.resize(k);
-  } else {
-    std::sort(tuples.begin(), tuples.end(), better);
-  }
-  return tuples;
 }
 
 }  // namespace ripple

@@ -28,8 +28,10 @@ LocalStore& LocalStore::operator=(const LocalStore& other) {
   flat_ = other.flat_;
   index_ = other.index_;
   sorted_ids_ = other.sorted_ids_;
+  band_ = other.band_;
   index_fresh_.store(other.index_fresh_.load());
   ids_fresh_.store(other.ids_fresh_.load());
+  band_fresh_.store(other.band_fresh_.load());
   return *this;
 }
 
@@ -38,8 +40,10 @@ LocalStore& LocalStore::operator=(LocalStore&& other) noexcept {
   flat_ = std::move(other.flat_);
   index_ = std::move(other.index_);
   sorted_ids_ = std::move(other.sorted_ids_);
+  band_ = std::move(other.band_);
   index_fresh_.store(other.index_fresh_.load());
   ids_fresh_.store(other.ids_fresh_.load());
+  band_fresh_.store(other.band_fresh_.load());
   other.MarkMutated();
   return *this;
 }
@@ -159,8 +163,20 @@ TupleVec LocalStore::AllAtLeast(const Scorer& scorer, double tau) const {
   return out;
 }
 
-TupleVec LocalStore::LocalSkyline() const {
-  return ComputeSkyline(flat_.Materialize());
+TupleVec LocalStore::LocalSkyband(size_t k) const {
+  if (k == 0) return {};
+  if (k <= kBandCap) {
+    BuildOnce(&band_fresh_, &derive_mu_,
+              [this] { band_ = StoreBand(flat_, kBandCap); });
+    if (band_.has_value()) {
+      TupleVec out;
+      for (const BandRow& b : *band_) {
+        if (b.dominators < k) out.push_back(flat_.TupleAt(b.row));
+      }
+      return out;
+    }
+  }
+  return ComputeKSkyband(flat_.Materialize(), k);
 }
 
 double LocalStore::MedianAlong(int dim) const {

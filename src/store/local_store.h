@@ -22,8 +22,11 @@ namespace ripple {
 /// structure-of-arrays: ids plus d contiguous coordinate columns), so the
 /// scan paths batch-score whole columns (Scorer::ScoreBlock) into a
 /// bounded top-k queue instead of walking Tuple records. Mutations
-/// (tuples arriving or handed off during zone splits/merges) invalidate a
-/// lazily rebuilt k-d index; small stores are scanned directly.
+/// (tuples arriving or handed off during zone splits/merges) end a
+/// mutation epoch; the structures derived from the rows (a k-d index, the
+/// sorted ids, the capped band behind LocalSkyline/LocalSkyband) are
+/// rebuilt on first use in the next epoch. Small stores are scanned
+/// directly.
 ///
 /// Threading: const queries may run concurrently (executor workers share
 /// peers); mutations, copies and moves must not overlap any other access.
@@ -79,8 +82,18 @@ class LocalStore {
   /// Every local tuple with score >= `tau` (Alg. 6).
   TupleVec AllAtLeast(const Scorer& scorer, double tau) const;
 
-  /// The local skyline (min-is-better dominance).
-  TupleVec LocalSkyline() const;
+  /// Dominator counts the epoch band tracks exactly; bands up to this k
+  /// are filters of it.
+  static constexpr size_t kBandCap = 8;
+
+  /// The local k-skyband, equal to ComputeKSkyband(Snapshot(), k). For
+  /// k <= kBandCap an id-order filter of the epoch band (built once per
+  /// mutation epoch, on first use); above it, the kernel over a snapshot.
+  TupleVec LocalSkyband(size_t k) const;
+
+  /// The local skyline (min-is-better dominance): the 1-band, equal to
+  /// ComputeSkyline(Snapshot()).
+  TupleVec LocalSkyline() const { return LocalSkyband(1); }
 
   /// Median coordinate of the stored tuples along `dim` (lower median).
   /// Requires a non-empty store. Used for load-balancing zone splits.
@@ -105,6 +118,7 @@ class LocalStore {
   void MarkMutated() {
     index_fresh_.store(false, std::memory_order_relaxed);
     ids_fresh_.store(false, std::memory_order_relaxed);
+    band_fresh_.store(false, std::memory_order_relaxed);
   }
 
   store::FlatStore flat_;
@@ -117,6 +131,9 @@ class LocalStore {
   mutable std::atomic<bool> index_fresh_{false};
   mutable std::vector<uint64_t> sorted_ids_;
   mutable std::atomic<bool> ids_fresh_{false};
+  // StoreBand(flat_, kBandCap); nullopt when ids repeat.
+  mutable std::optional<std::vector<BandRow>> band_;
+  mutable std::atomic<bool> band_fresh_{false};
 
   /// Below this many tuples a plain scan beats the index.
   static constexpr size_t kIndexThreshold = 32;

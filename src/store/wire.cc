@@ -2,19 +2,9 @@
 
 namespace ripple {
 
-void EncodeTuple(const Tuple& t, wire::Buffer* buf) {
-  buf->PutVarint(t.id);
-  EncodePoint(t.key, buf);
-}
-
 bool DecodeTuple(wire::Reader* r, Tuple* out) {
   out->id = r->Varint();
   return r->ok() && DecodePoint(r, &out->key);
-}
-
-void EncodeTupleVec(const TupleVec& v, wire::Buffer* buf) {
-  buf->PutVarint(v.size());
-  for (const Tuple& t : v) EncodeTuple(t, buf);
 }
 
 bool DecodeTupleVec(wire::Reader* r, TupleVec* out) {

@@ -26,10 +26,7 @@ void Buffer::PutVarint(uint64_t v) {
   bytes_.push_back(static_cast<uint8_t>(v));
 }
 
-void Buffer::PutZigzag(int64_t v) {
-  PutVarint((static_cast<uint64_t>(v) << 1) ^
-            static_cast<uint64_t>(v >> 63));
-}
+void Buffer::PutZigzag(int64_t v) { PutVarint(ZigzagMap(v)); }
 
 void Buffer::PutF64(double v) { PutFixed64(std::bit_cast<uint64_t>(v)); }
 

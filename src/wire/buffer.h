@@ -1,6 +1,7 @@
 #ifndef RIPPLE_WIRE_BUFFER_H_
 #define RIPPLE_WIRE_BUFFER_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -8,12 +9,26 @@
 
 namespace ripple::wire {
 
+/// The zigzag map of PutZigzag: small magnitudes of either sign become
+/// small unsigned values ((v << 1) ^ (v >> 63)).
+inline constexpr uint64_t ZigzagMap(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+/// Bytes of the LEB128 varint of `v`: one per started 7-bit group.
+inline constexpr size_t VarintSize(uint64_t v) {
+  return 1 + (static_cast<size_t>(std::bit_width(v | 1)) - 1) / 7;
+}
+
 /// A growable byte buffer every wire encoder appends to. Explicit
 /// little-endian byte order for the fixed-width encodings, LEB128 varints
 /// for counts, zigzag for signed values and bit-exact doubles — so an
 /// encode/decode round trip preserves every value exactly (including
 /// infinities and the sign of zero), which the engines' determinism
 /// contract depends on.
+///
+/// Encoders are templates over their sink: a Buffer, or a SizeCounter
+/// when only the encoded size is wanted.
 class Buffer {
  public:
   void PutU8(uint8_t v) { bytes_.push_back(v); }
@@ -43,6 +58,28 @@ class Buffer {
 
  private:
   std::vector<uint8_t> bytes_;
+};
+
+/// A sink with Buffer's Put* interface that writes nothing and counts the
+/// bytes a Buffer would have appended, so an encoder run over it returns
+/// the exact encoded size. The recursive engine and the analytic protocols
+/// price frames this way; the codec definitions stay single.
+class SizeCounter {
+ public:
+  void PutU8(uint8_t) { size_ += 1; }
+  void PutFixed32(uint32_t) { size_ += 4; }
+  void PutFixed64(uint64_t) { size_ += 8; }
+  void PutVarint(uint64_t v) { size_ += VarintSize(v); }
+  void PutZigzag(int64_t v) { PutVarint(ZigzagMap(v)); }
+  void PutF64(double) { size_ += 8; }
+  void PutBytes(const uint8_t*, size_t n) { size_ += n; }
+  /// Patching a length field does not change the size.
+  void WriteFixed32At(size_t, uint32_t) {}
+
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
 };
 
 /// Cursor over received bytes. Decoders never trust the wire: every read

@@ -2,26 +2,6 @@
 
 namespace ripple::wire {
 
-size_t BeginFrame(Buffer* buf, uint8_t tag, uint64_t id, uint32_t from,
-                  uint32_t to, const TraceContext& trace) {
-  const size_t start = buf->size();
-  buf->PutFixed32(0);  // length, patched by EndFrame
-  buf->PutU8(kWireVersion);
-  buf->PutU8(tag);
-  buf->PutFixed64(id);
-  buf->PutFixed32(from);
-  buf->PutFixed32(to);
-  buf->PutU8(trace.flags);
-  buf->PutFixed64(trace.trace_id);
-  buf->PutFixed32(trace.parent_span);
-  return start;
-}
-
-void EndFrame(Buffer* buf, size_t frame_start) {
-  buf->WriteFixed32At(frame_start,
-                      static_cast<uint32_t>(buf->size() - frame_start - 4));
-}
-
 FrameError DecodeFrameHeaderEx(Reader* r, FrameHeader* out) {
   out->length = r->Fixed32();
   out->version = r->U8();

@@ -83,13 +83,31 @@ enum class FrameError : uint8_t {
 /// Appends a frame header with a zero length placeholder; returns the
 /// frame's start offset for EndFrame. The caller appends the payload, then
 /// calls EndFrame to patch the length. `trace` is the context stamped into
-/// the v2 tail (default: unsampled, no parent).
-size_t BeginFrame(Buffer* buf, uint8_t tag, uint64_t id, uint32_t from,
-                  uint32_t to, const TraceContext& trace = {});
+/// the v2 tail (default: unsampled, no parent). `Sink` is a Buffer or a
+/// SizeCounter.
+template <typename Sink>
+size_t BeginFrame(Sink* buf, uint8_t tag, uint64_t id, uint32_t from,
+                  uint32_t to, const TraceContext& trace = {}) {
+  const size_t start = buf->size();
+  buf->PutFixed32(0);  // length, patched by EndFrame
+  buf->PutU8(kWireVersion);
+  buf->PutU8(tag);
+  buf->PutFixed64(id);
+  buf->PutFixed32(from);
+  buf->PutFixed32(to);
+  buf->PutU8(trace.flags);
+  buf->PutFixed64(trace.trace_id);
+  buf->PutFixed32(trace.parent_span);
+  return start;
+}
 
 /// Patches the length field of the frame begun at `frame_start` to cover
 /// everything appended since.
-void EndFrame(Buffer* buf, size_t frame_start);
+template <typename Sink>
+void EndFrame(Sink* buf, size_t frame_start) {
+  buf->WriteFixed32At(frame_start,
+                      static_cast<uint32_t>(buf->size() - frame_start - 4));
+}
 
 /// Reads and validates one frame header: enough bytes for the fixed
 /// header, the current version, a known tag, and a length the buffer

@@ -13,6 +13,7 @@
 
 #include "cache/adaptive.h"
 #include "cache/normalize.h"
+#include "common/kernel_counters.h"
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "exec/batch.h"
@@ -23,6 +24,7 @@
 #include "ripple/api.h"
 #include "ripple/engine.h"
 #include "sim/async_engine.h"
+#include "store/local_algos.h"
 #include "store/local_store.h"
 
 namespace ripple {
@@ -63,6 +65,46 @@ TEST(LocalStoreConcurrencyTest, ReadersOfAFreshlyMutatedStoreAgree) {
       }
       EXPECT_EQ(found[t], static_cast<int>((end + 6) / 7));
     }
+  }
+}
+
+TEST(LocalStoreConcurrencyTest, ConcurrentFirstReadersBuildTheBandOnce) {
+  Rng rng(19);
+  const TupleVec tuples = data::MakeUniform(900, 4, &rng);
+  LocalStore store;
+  for (size_t end = 300; end <= tuples.size(); end += 300) {
+    store.AddAll(TupleVec(tuples.begin() + (end - 300), tuples.begin() + end));
+    const TupleVec rows = store.Snapshot();
+    const TupleVec sky = ComputeSkyline(rows);
+    const TupleVec band = ComputeKSkyband(rows, 3);
+    // The band build is the only scan a band read makes, and it visits
+    // every row once: summed over the readers' own (thread-local) work
+    // counters, one build scans exactly size() rows.
+    std::vector<uint64_t> scanned(4, 0);
+    std::vector<TupleVec> got_sky(4), got_band(4);
+    std::vector<std::thread> readers;
+    for (size_t t = 0; t < scanned.size(); ++t) {
+      readers.emplace_back([&, t] {
+        ResetKernelCounters();
+        got_band[t] = store.LocalSkyband(3);
+        got_sky[t] = store.LocalSkyline();
+        scanned[t] = LocalKernelCounters().tuples_scanned;
+      });
+    }
+    for (std::thread& r : readers) r.join();
+    uint64_t total = 0;
+    for (size_t t = 0; t < scanned.size(); ++t) {
+      total += scanned[t];
+      ASSERT_EQ(got_sky[t].size(), sky.size());
+      ASSERT_EQ(got_band[t].size(), band.size());
+      for (size_t i = 0; i < sky.size(); ++i) {
+        EXPECT_EQ(got_sky[t][i].id, sky[i].id);
+      }
+      for (size_t i = 0; i < band.size(); ++i) {
+        EXPECT_EQ(got_band[t][i].id, band[i].id);
+      }
+    }
+    EXPECT_EQ(total, store.size()) << "rows " << end;
   }
 }
 

@@ -30,6 +30,7 @@
 #include "store/local_algos.h"
 #include "store/local_store.h"
 #include "kernel_fixtures.h"
+#include "oracles.h"
 
 namespace ripple {
 namespace {

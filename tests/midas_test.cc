@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
+#include "exec/compile.h"
+#include "exec/workload.h"
+#include "geom/scoring.h"
 #include "overlay/midas/patterns.h"
 
 namespace ripple {
@@ -244,6 +249,45 @@ TEST(MidasTest, RandomPeerIsLive) {
     const PeerId id = overlay.RandomPeer(&rng);
     EXPECT_NO_FATAL_FAILURE(overlay.GetPeer(id));
   }
+}
+
+TEST(MidasTest, RandomPeerTakesOneDrawAfterChurn) {
+  MidasOverlay overlay = GrowOverlay(64, 3, 81);
+  // One churn stage: 8 joins, then 8 leaves, which vacate id slots.
+  std::vector<exec::WorkloadItem> items(200);
+  for (size_t i = 0; i < items.size(); ++i) {
+    items[i].group = static_cast<int>(i);
+  }
+  auto scorer_weights = [&] {
+    std::vector<std::unique_ptr<Scorer>> scorers;
+    exec::ForEachWorkloadInstance(overlay, items, /*seed=*/5, &scorers,
+                                  [](size_t, const exec::WorkloadItem&,
+                                     PeerId, auto&&) {});
+    std::vector<std::vector<double>> weights;
+    for (const auto& s : scorers) {
+      weights.push_back(dynamic_cast<const LinearScorer&>(*s).weights());
+    }
+    return weights;
+  };
+  const std::vector<std::vector<double>> before = scorer_weights();
+  Rng churn(83);
+  for (int i = 0; i < 8; ++i) overlay.Join();
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(overlay.LeaveRandom(&churn).ok());
+  ASSERT_TRUE(overlay.Validate().ok()) << overlay.Validate().ToString();
+  const std::vector<PeerId> live = overlay.LivePeers();
+  ASSERT_GE(live.back(), live.size()) << "the stage left no vacated slot";
+
+  // Each pick is exactly one draw: the stream continues in step with a
+  // twin that drew one bounded value.
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    Rng pick(seed), twin(seed);
+    const PeerId id = overlay.RandomPeer(&pick);
+    EXPECT_EQ(id, live[twin.UniformU64(live.size())]) << "seed " << seed;
+    EXPECT_EQ(pick.NextU64(), twin.NextU64()) << "seed " << seed;
+  }
+  // So a locality group repeats its instance's draws after the initiator
+  // (here the top-k scorer) from the same seed, churn or not.
+  EXPECT_EQ(scorer_weights(), before);
 }
 
 }  // namespace

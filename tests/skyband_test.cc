@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "data/datasets.h"
@@ -11,46 +12,12 @@
 #include "queries/topk_driver.h"
 #include "ripple/engine.h"
 #include "kernel_fixtures.h"
+#include "oracles.h"
 
 namespace ripple {
 namespace {
 
 using namespace fixtures;
-
-/// The row-at-a-time k-skyband the column kernels replaced, kept as the
-/// oracle: dedup by id, stable sort by coordinate sum (so rows run in
-/// (sum, id) order), then count each row's dominators among ALL earlier
-/// rows with the scalar Dominates. This fixes the precedence rule the
-/// kernels must reproduce — a dominator with an equal sum and a larger id
-/// comes later and does not count.
-TupleVec KSkybandOracle(TupleVec tuples, size_t k) {
-  if (tuples.empty() || k == 0) return {};
-  std::sort(tuples.begin(), tuples.end(), TupleIdLess());
-  tuples.erase(std::unique(tuples.begin(), tuples.end(),
-                           [](const Tuple& a, const Tuple& b) {
-                             return a.id == b.id;
-                           }),
-               tuples.end());
-  auto sum_of = [](const Tuple& t) {
-    double s = 0.0;
-    for (int i = 0; i < t.key.dims(); ++i) s += t.key[i];
-    return s;
-  };
-  std::stable_sort(tuples.begin(), tuples.end(),
-                   [&](const Tuple& a, const Tuple& b) {
-                     return sum_of(a) < sum_of(b);
-                   });
-  TupleVec band;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    size_t dominators = 0;
-    for (size_t j = 0; j < i && dominators < k; ++j) {
-      if (Dominates(tuples[j].key, tuples[i].key)) ++dominators;
-    }
-    if (dominators < k) band.push_back(tuples[i]);
-  }
-  std::sort(band.begin(), band.end(), TupleIdLess());
-  return band;
-}
 
 TupleVec Concat(TupleVec a, const TupleVec& b) {
   a.insert(a.end(), b.begin(), b.end());
@@ -391,6 +358,113 @@ TEST(ApproxTopKTest, LargerEpsilonNeverVisitsMore) {
     }
     EXPECT_LE(visits, prev) << "eps=" << eps;
     prev = visits;
+  }
+}
+
+// --- the epoch band behind LocalStore::LocalSkyline/LocalSkyband ----------
+
+/// Tuples on a coarse grid, so coordinate sums tie and whole points repeat
+/// under different ids; zero coordinates are +0.0 or -0.0 at random. Ids
+/// are a permutation of [id_base, id_base + n), not in insertion order.
+TupleVec GridTuples(size_t n, int dims, uint64_t seed, uint64_t id_base) {
+  Rng rng(seed);
+  TupleVec out;
+  for (size_t i = 0; i < n; ++i) {
+    Point p(dims);
+    for (int d = 0; d < dims; ++d) {
+      const double v = 0.25 * static_cast<double>(rng.UniformU64(4));
+      p[d] = (v == 0.0 && rng.Bernoulli(0.5)) ? -0.0 : v;
+    }
+    out.push_back(Tuple{id_base + (i * 7919) % n, p});
+  }
+  return out;
+}
+
+/// Every skyline/band read of `store` is bit-identical to a fresh kernel
+/// run over the store's rows, for k = 0 .. kBandCap + 1.
+void ExpectEpochStateFresh(const LocalStore& store, const std::string& where) {
+  const TupleVec rows = store.Snapshot();
+  EXPECT_TRUE(BitIdentical(store.LocalSkyline(), ComputeSkyline(rows)))
+      << where;
+  for (size_t k = 0; k <= LocalStore::kBandCap + 1; ++k) {
+    EXPECT_TRUE(BitIdentical(store.LocalSkyband(k), ComputeKSkyband(rows, k)))
+        << where << " k=" << k;
+  }
+}
+
+TEST(EpochBandTest, EveryMutatorCopyAndMoveStartsAFreshEpoch) {
+  constexpr int kDims = 3;
+  const TupleVec a = GridTuples(300, kDims, 11, 0);
+  const TupleVec b = GridTuples(200, kDims, 12, 1000);
+  LocalStore store;
+  ExpectEpochStateFresh(store, "empty");
+  for (size_t i = 0; i < 40; ++i) {
+    store.Add(a[i]);
+    ExpectEpochStateFresh(store, "Add #" + std::to_string(i));
+  }
+  store.AddAll(TupleVec(a.begin() + 40, a.end()));
+  ExpectEpochStateFresh(store, "AddAll(TupleVec)");
+  LocalStore other;
+  other.AddAll(b);
+  ExpectEpochStateFresh(other, "other");
+  store.AddAll(other);
+  ExpectEpochStateFresh(store, "AddAll(LocalStore)");
+
+  LocalStore copy(store);
+  ExpectEpochStateFresh(copy, "copy-constructed");
+  LocalStore assigned;
+  assigned.Add(b[0]);
+  ExpectEpochStateFresh(assigned, "before copy-assign");
+  assigned = store;
+  ExpectEpochStateFresh(assigned, "copy-assigned");
+
+  const Rect domain = Rect::Unit(kDims);
+  Point hi = domain.hi();
+  hi[0] = 0.5;
+  const TupleVec extracted = store.ExtractOutside(Rect(domain.lo(), hi),
+                                                  domain);
+  EXPECT_FALSE(extracted.empty());
+  ExpectEpochStateFresh(store, "ExtractOutside");
+  ExpectEpochStateFresh(copy, "copy after its source changed");
+
+  LocalStore moved(std::move(copy));
+  ExpectEpochStateFresh(moved, "move-constructed");
+  ExpectEpochStateFresh(copy, "moved-from");
+  LocalStore move_assigned;
+  move_assigned.Add(a[0]);
+  ExpectEpochStateFresh(move_assigned, "before move-assign");
+  move_assigned = std::move(moved);
+  ExpectEpochStateFresh(move_assigned, "move-assigned");
+  ExpectEpochStateFresh(moved, "move-assigned-from");
+
+  store.Clear();
+  ExpectEpochStateFresh(store, "Clear");
+  store.Add(b[1]);
+  ExpectEpochStateFresh(store, "Add after Clear");
+}
+
+TEST(EpochBandTest, RepeatedIdsFallBackToTheKernel) {
+  const TupleVec a = GridTuples(120, 3, 13, 0);
+  LocalStore store;
+  store.AddAll(a);
+  ExpectEpochStateFresh(store, "unique ids");
+  store.Add(Tuple{a[5].id, Point{0.0, 0.0, 0.0}});
+  ExpectEpochStateFresh(store, "repeated id");
+}
+
+TEST(EpochBandTest, BandFiltersMatchTheOracleAcrossDims) {
+  for (int dims = 2; dims <= kMaxDims; ++dims) {
+    const LinearScorer scorer = PreferenceScorer(dims, 2500 + dims);
+    for (Series series :
+         {Series::kIncreasing, Series::kDecreasing, Series::kRandom}) {
+      const TupleVec ts = ShapedTuples(200, dims, series, scorer, 2600 + dims);
+      LocalStore store;
+      store.AddAll(ts);
+      for (size_t k = 1; k <= LocalStore::kBandCap + 1; ++k) {
+        EXPECT_TRUE(BitIdentical(store.LocalSkyband(k), KSkybandOracle(ts, k)))
+            << "dims=" << dims << " series=" << Name(series) << " k=" << k;
+      }
+    }
   }
 }
 

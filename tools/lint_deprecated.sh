@@ -7,7 +7,9 @@
 #   * calling through ripple::compat:: (Run shims, kRippleSlow)
 #   * the bare kRippleSlow sentinel (replaced by RippleParam::Slow())
 #
-# Also forbidden: opening ".csv" result files anywhere but
+# Also forbidden: defining the test oracles (the scalar skyline, merge
+# and top-k kernels, the k-skyband sort-and-count) under src/, and
+# opening ".csv" result files anywhere but
 # obs::BenchReporter (src/obs/bench_report.cc). All benchmark result
 # emission flows through the reporter so BENCH_<suite>.json, the CSV
 # panels and the bench_check.py gate stay consistent.
@@ -33,6 +35,17 @@ check() {
 check 'ripple/compat\.h'  'include of the deprecated compat header'
 check 'compat::'          'use of the ripple::compat shim namespace'
 check '\bkRippleSlow\b'   'legacy kRippleSlow sentinel (use RippleParam::Slow())'
+
+# The reference kernels the tests and the kernel benches compare against
+# live in tests/oracles/, not in the production library.
+ORACLE_HITS=$(grep -rnE --include='*.cc' --include='*.h' \
+                '\b(ComputeSkylineScalar|MergeSkylinesScalar|SelectTopKScalar|KSkybandOracle)\b' \
+                src || true)
+if [[ -n "$ORACLE_HITS" ]]; then
+  echo "lint_deprecated: test oracle in src/ (keep it in tests/oracles/):" >&2
+  echo "$ORACLE_HITS" >&2
+  FAIL=1
+fi
 
 # CSV emission outside the sanctioned reporter: a `.csv` string literal in
 # C++ code means someone is hand-rolling result files again.

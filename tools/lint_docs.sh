@@ -71,6 +71,7 @@ DEAD_SYMBOLS=(
   'sim/session.h'
   'sim/retransmit.h'
   BackedOffWallTimeout
+  'retained scalar oracles'
 )
 for sym in "${DEAD_SYMBOLS[@]}"; do
   hits=$(grep -rnF -- "$sym" "${DOC_FILES[@]}" 2>/dev/null || true)
